@@ -69,7 +69,7 @@ AccessMethod* SharedReadMethod(const std::string& tag,
 }
 
 // Attaches the RUM amplifications of the timed window to the benchmark's
-// JSON record, so BENCH_wallclock.json carries (method, ops/sec, RO/UO/MO)
+// JSON record, so a --benchmark_out file carries (method, ops/sec, RO/UO/MO)
 // in one machine-readable place.
 void AttachRumCounters(benchmark::State& state, const CounterSnapshot& before,
                        const CounterSnapshot& after) {
@@ -400,27 +400,12 @@ Registration registration;
 }  // namespace
 }  // namespace rum
 
-// Custom main: unless the caller passes their own --benchmark_out, results
-// are mirrored to BENCH_wallclock.json (google-benchmark's JSON schema,
-// with the RO/UO/MO counters attached per benchmark) for machine
-// consumption alongside the console table.
+// Custom main: google-benchmark's flags as usual (a JSON file is written
+// only when --benchmark_out=<path> names one), plus the optional metrics
+// registry export.
 int main(int argc, char** argv) {
-  std::vector<char*> args(argv, argv + argc);
-  bool has_out = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]).rfind("--benchmark_out", 0) == 0) has_out = true;
-  }
-  std::string out_flag = "--benchmark_out=BENCH_wallclock.json";
-  std::string format_flag = "--benchmark_out_format=json";
-  if (!has_out) {
-    args.push_back(out_flag.data());
-    args.push_back(format_flag.data());
-  }
-  int effective_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&effective_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(effective_argc, args.data())) {
-    return 1;
-  }
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   const bool metrics = std::getenv("RUMLAB_BENCH_METRICS") != nullptr;
   if (metrics) rum::MetricsRegistry::Global().set_enabled(true);
   benchmark::RunSpecifiedBenchmarks();

@@ -57,11 +57,13 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "release" ]]; then
   # hosts), only the schema contract.
   (cd build-ci/bench &&
     ./bench_wallclock --benchmark_filter='(Get|Insert)/(btree|lsm-leveled)$' \
-      --benchmark_min_time=0.02 >/dev/null &&
+      --benchmark_min_time=0.02 \
+      --benchmark_out=BENCH_wallclock_smoke.json \
+      --benchmark_out_format=json >/dev/null &&
     ./bench_concurrency --smoke >/dev/null &&
-    python3 -m json.tool BENCH_wallclock.json >/dev/null &&
+    python3 -m json.tool BENCH_wallclock_smoke.json >/dev/null &&
     python3 -m json.tool BENCH_concurrency.json >/dev/null &&
-    echo "BENCH_wallclock.json + BENCH_concurrency.json parse OK")
+    echo "BENCH_wallclock_smoke.json + BENCH_concurrency.json parse OK")
   # Disabled-layers overhead guard: with tracing, metrics, AND the service
   # layer off (all defaults), the Get path must stay within 3% (geomean) of
   # the committed BENCH_wallclock.json baseline. This is what makes

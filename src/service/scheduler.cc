@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <unordered_map>
 #include <utility>
 
 #include "core/trace.h"
@@ -201,13 +202,15 @@ void RequestScheduler::DispatchBatch(Shard* s, uint64_t start) {
   std::vector<int> dup_of(batch.size(), -1);
   size_t calls = batch.size();
   if (batch_class == kClassGet && opts_.coalesce_reads) {
-    for (size_t i = 1; i < batch.size(); ++i) {
-      for (size_t j = 0; j < i; ++j) {
-        if (batch[j].key == batch[i].key && dup_of[j] < 0) {
-          dup_of[i] = static_cast<int>(j);
-          --calls;
-          break;
-        }
+    // One pass: each key maps to its first occurrence, which serves every
+    // later duplicate.
+    std::unordered_map<Key, int> first;
+    first.reserve(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      auto [it, fresh] = first.try_emplace(batch[i].key, static_cast<int>(i));
+      if (!fresh) {
+        dup_of[i] = it->second;
+        --calls;
       }
     }
   }

@@ -1,5 +1,6 @@
 #include "storage/block_device.h"
 
+#include <bit>
 #include <cassert>
 
 #include "core/trace.h"
@@ -12,75 +13,103 @@ BlockDevice::BlockDevice(size_t block_size, RumCounters* counters)
   assert(counters_ != nullptr);
   metrics_.Init("block_device");
   metrics_.Gauge("live_pages",
-                 [this] { return static_cast<uint64_t>(live_total_); });
-  metrics_.Gauge("live_pages_base",
-                 [this] { return static_cast<uint64_t>(live_base_); });
-  metrics_.Gauge("live_pages_aux",
-                 [this] { return static_cast<uint64_t>(live_aux_); });
+                 [this] { return static_cast<uint64_t>(live_pages()); });
+  metrics_.Gauge("live_pages_base", [this] {
+    return static_cast<uint64_t>(live_pages(DataClass::kBase));
+  });
+  metrics_.Gauge("live_pages_aux", [this] {
+    return static_cast<uint64_t>(live_pages(DataClass::kAux));
+  });
   metrics_.Gauge("pinned_pages",
-                 [this] { return static_cast<uint64_t>(pins_outstanding_); });
+                 [this] { return static_cast<uint64_t>(pinned_pages()); });
+}
+
+BlockDevice::~BlockDevice() {
+  for (std::atomic<PageSlot*>& chunk : chunks_) delete[] chunk.load();
+}
+
+BlockDevice::PageSlot& BlockDevice::SlotAt(PageId page) const {
+  // Chunk k starts at id kFirstChunk * (2^k - 1); offsetting the id by
+  // kFirstChunk turns the chunk index into a bit position.
+  size_t v = static_cast<size_t>(page) + kFirstChunk;
+  size_t k = static_cast<size_t>(std::bit_width(v)) - 1 - kFirstChunkBits;
+  return chunks_[k].load(std::memory_order_acquire)[v - (kFirstChunk << k)];
+}
+
+void BlockDevice::CountLive(DataClass cls, int delta) {
+  // Unsigned wrap makes adding static_cast<size_t>(-1) a decrement.
+  size_t d = static_cast<size_t>(delta);
+  live_total_.fetch_add(d, std::memory_order_relaxed);
+  (cls == DataClass::kBase ? live_base_ : live_aux_)
+      .fetch_add(d, std::memory_order_relaxed);
 }
 
 Status BlockDevice::Allocate(DataClass cls, PageId* out) {
   PageId id;
-  if (!free_list_.empty()) {
-    id = free_list_.back();
-    free_list_.pop_back();
-    pages_[id].bytes.assign(block_size_, 0);
-    pages_[id].cls = cls;
-    pages_[id].live = true;
-  } else {
-    id = static_cast<PageId>(pages_.size());
-    PageSlot slot;
-    slot.bytes.assign(block_size_, 0);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!free_list_.empty()) {
+      id = free_list_.back();
+      free_list_.pop_back();
+    } else {
+      size_t n = slot_count_.load(std::memory_order_relaxed);
+      assert(n < kInvalidPageId);
+      id = static_cast<PageId>(n);
+      size_t v = n + kFirstChunk;
+      size_t k = static_cast<size_t>(std::bit_width(v)) - 1 - kFirstChunkBits;
+      if (v == (kFirstChunk << k)) {
+        chunks_[k].store(new PageSlot[kFirstChunk << k],
+                         std::memory_order_release);
+      }
+      slot_count_.store(n + 1, std::memory_order_release);
+    }
+    PageSlot& slot = SlotAt(id);
     slot.cls = cls;
     slot.live = true;
-    pages_.push_back(std::move(slot));
+    CountLive(cls, +1);
   }
-  ++live_total_;
-  if (cls == DataClass::kBase) {
-    ++live_base_;
-  } else {
-    ++live_aux_;
-  }
+  // The id is not visible to anyone else yet, so the 4 KiB zero-fill runs
+  // outside the lock. A recycled slot keeps its capacity (Free only clears).
+  SlotAt(id).bytes.assign(block_size_, 0);
   counters_->AdjustSpace(cls, static_cast<int64_t>(block_size_));
   *out = id;
   return Status::OK();
 }
 
 Status BlockDevice::CheckLive(PageId page) const {
-  if (page >= pages_.size() || !pages_[page].live) {
+  if (page >= slot_count_.load(std::memory_order_acquire) ||
+      !SlotAt(page).live) {
     return Status::InvalidArgument("page not live");
   }
   return Status::OK();
 }
 
 Status BlockDevice::Free(PageId page) {
-  Status s = CheckLive(page);
-  if (!s.ok()) return s;
-  PageSlot& slot = pages_[page];
-  if (slot.pins != 0) {
-    return Status::InvalidArgument("cannot free a pinned page");
+  DataClass cls;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Status s = CheckLive(page);
+    if (!s.ok()) return s;
+    PageSlot& slot = SlotAt(page);
+    if (slot.pins != 0) {
+      return Status::InvalidArgument("cannot free a pinned page");
+    }
+    slot.live = false;
+    // Keep the slot's capacity: Allocate() re-zeroes recycled slots in
+    // place, so freeing must not force a reallocation on the next reuse.
+    slot.bytes.clear();
+    free_list_.push_back(page);
+    cls = slot.cls;
+    CountLive(cls, -1);
   }
-  slot.live = false;
-  // Keep the slot's capacity: Allocate() re-zeroes recycled slots in place,
-  // so freeing must not force a reallocation on the next reuse.
-  slot.bytes.clear();
-  free_list_.push_back(page);
-  --live_total_;
-  if (slot.cls == DataClass::kBase) {
-    --live_base_;
-  } else {
-    --live_aux_;
-  }
-  counters_->AdjustSpace(slot.cls, -static_cast<int64_t>(block_size_));
+  counters_->AdjustSpace(cls, -static_cast<int64_t>(block_size_));
   return Status::OK();
 }
 
 Status BlockDevice::Read(PageId page, std::vector<uint8_t>* out) {
   Status s = ChargeRead(page);
   if (!s.ok()) return s;
-  *out = pages_[page].bytes;
+  *out = SlotAt(page).bytes;
   return Status::OK();
 }
 
@@ -90,16 +119,16 @@ Status BlockDevice::Write(PageId page, const std::vector<uint8_t>& data) {
   }
   Status s = ChargeWrite(page);
   if (!s.ok()) return s;
-  pages_[page].bytes = data;
+  SlotAt(page).bytes = data;
   return Status::OK();
 }
 
 Status BlockDevice::PinForRead(PageId page, PageReadGuard* out) {
   Status s = ChargeRead(page);
   if (!s.ok()) return s;
-  PageSlot& slot = pages_[page];
+  PageSlot& slot = SlotAt(page);
   ++slot.pins;
-  ++pins_outstanding_;
+  pins_outstanding_.fetch_add(1, std::memory_order_relaxed);
   *out = MakeReadGuard(this, page, slot.bytes.data(), block_size_);
   return Status::OK();
 }
@@ -107,54 +136,55 @@ Status BlockDevice::PinForRead(PageId page, PageReadGuard* out) {
 Status BlockDevice::PinForWrite(PageId page, PageWriteGuard* out) {
   Status s = CheckLive(page);
   if (!s.ok()) return s;
-  PageSlot& slot = pages_[page];
+  PageSlot& slot = SlotAt(page);
   ++slot.pins;
-  ++pins_outstanding_;
+  pins_outstanding_.fetch_add(1, std::memory_order_relaxed);
   *out = MakeWriteGuard(this, page, slot.bytes.data(), block_size_);
   return Status::OK();
 }
 
 void BlockDevice::UnpinRead(PageId page) {
-  assert(page < pages_.size());
   // A zero pin count here means the guard outlived a Crash(); its release
   // is tolerated as a no-op (the crash already dropped the pin).
-  if (page >= pages_.size() || pages_[page].pins == 0) return;
-  --pages_[page].pins;
-  --pins_outstanding_;
+  assert(page < slot_count_.load(std::memory_order_acquire));
+  PageSlot& slot = SlotAt(page);
+  if (slot.pins == 0) return;
+  --slot.pins;
+  pins_outstanding_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 Status BlockDevice::UnpinWrite(PageId page, bool dirty) {
-  assert(page < pages_.size());
-  if (page >= pages_.size() || pages_[page].pins == 0) {
-    return Status::OK();  // Post-crash abandoned guard.
-  }
-  --pages_[page].pins;
-  --pins_outstanding_;
+  assert(page < slot_count_.load(std::memory_order_acquire));
+  PageSlot& slot = SlotAt(page);
+  if (slot.pins == 0) return Status::OK();  // Post-crash abandoned guard.
+  --slot.pins;
+  pins_outstanding_.fetch_sub(1, std::memory_order_relaxed);
   if (!dirty) return Status::OK();
   return ChargeWrite(page);
 }
 
 void BlockDevice::Crash() {
   Trace::Emit(TraceKind::kCrash, TraceOp::kNone, kInvalidPageId,
-              DataClass::kBase, pins_outstanding_);
-  for (PageSlot& slot : pages_) slot.pins = 0;
-  pins_outstanding_ = 0;
+              DataClass::kBase, pinned_pages());
+  size_t n = slot_count_.load(std::memory_order_acquire);
+  for (size_t id = 0; id < n; ++id) SlotAt(static_cast<PageId>(id)).pins = 0;
+  pins_outstanding_.store(0, std::memory_order_relaxed);
 }
 
 std::vector<uint8_t>* BlockDevice::mutable_page_unaccounted(PageId page) {
   if (!CheckLive(page).ok()) return nullptr;
-  return &pages_[page].bytes;
+  return &SlotAt(page).bytes;
 }
 
 const std::vector<uint8_t>* BlockDevice::page_unaccounted(PageId page) const {
   if (!CheckLive(page).ok()) return nullptr;
-  return &pages_[page].bytes;
+  return &SlotAt(page).bytes;
 }
 
 Status BlockDevice::ChargeRead(PageId page) const {
   Status s = CheckLive(page);
   if (!s.ok()) return s;
-  counters_->OnRead(pages_[page].cls, block_size_);
+  counters_->OnRead(SlotAt(page).cls, block_size_);
   counters_->OnBlockRead();
   return Status::OK();
 }
@@ -162,25 +192,21 @@ Status BlockDevice::ChargeRead(PageId page) const {
 Status BlockDevice::ChargeWrite(PageId page) {
   Status s = CheckLive(page);
   if (!s.ok()) return s;
-  counters_->OnWrite(pages_[page].cls, block_size_);
+  counters_->OnWrite(SlotAt(page).cls, block_size_);
   counters_->OnBlockWrite();
   return Status::OK();
 }
 
 Status BlockDevice::Reclassify(PageId page, DataClass cls) {
+  std::lock_guard<std::mutex> lock(mu_);
   Status s = CheckLive(page);
   if (!s.ok()) return s;
-  PageSlot& slot = pages_[page];
+  PageSlot& slot = SlotAt(page);
   if (slot.cls == cls) return Status::OK();
   counters_->AdjustSpace(slot.cls, -static_cast<int64_t>(block_size_));
   counters_->AdjustSpace(cls, static_cast<int64_t>(block_size_));
-  if (slot.cls == DataClass::kBase) {
-    --live_base_;
-    ++live_aux_;
-  } else {
-    --live_aux_;
-    ++live_base_;
-  }
+  CountLive(slot.cls, -1);
+  CountLive(cls, +1);
   slot.cls = cls;
   return Status::OK();
 }

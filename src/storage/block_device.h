@@ -1,8 +1,11 @@
 #ifndef RUMLAB_STORAGE_BLOCK_DEVICE_H_
 #define RUMLAB_STORAGE_BLOCK_DEVICE_H_
 
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "core/counters.h"
@@ -25,11 +28,21 @@ namespace rum {
 /// Pages are allocated with a DataClass tag so space amplification can be
 /// derived exactly: resident space is (#allocated pages of class) x
 /// block_size.
+///
+/// Thread safety: Read, Write, Charge{Read,Write}, pins and unpins of
+/// *distinct* live pages may run concurrently with each other and with
+/// Allocate/Free/Reclassify. Page slots never move once created, an
+/// internal mutex guards only allocation state (the free list, slot
+/// creation, liveness and the per-class live counts), and the counts and
+/// `pinned_pages()` are atomics readable at any time. Calls on the *same*
+/// page must be serialized by the caller (CachingDevice does it with the
+/// page's partition lock). Crash() requires quiescence.
 class BlockDevice : public Device {
  public:
   /// Creates a device with blocks of `block_size` bytes, charging all
   /// traffic to `counters` (borrowed; must outlive the device).
   BlockDevice(size_t block_size, RumCounters* counters);
+  ~BlockDevice() override;
 
   /// Allocates a zeroed page of class `cls`; never fails at this level (the
   /// simulated store has no capacity limit -- allocation faults come from a
@@ -78,13 +91,18 @@ class BlockDevice : public Device {
 
   size_t block_size() const override { return block_size_; }
   /// Live (allocated, not freed) page count, total and per class.
-  size_t live_pages() const override { return live_total_; }
+  size_t live_pages() const override {
+    return live_total_.load(std::memory_order_relaxed);
+  }
   size_t live_pages(DataClass cls) const {
-    return cls == DataClass::kBase ? live_base_ : live_aux_;
+    return (cls == DataClass::kBase ? live_base_ : live_aux_)
+        .load(std::memory_order_relaxed);
   }
 
   /// Pins currently outstanding across all pages (tests / debugging).
-  size_t pinned_pages() const { return pins_outstanding_; }
+  size_t pinned_pages() const {
+    return pins_outstanding_.load(std::memory_order_relaxed);
+  }
 
  protected:
   void UnpinRead(PageId page) override;
@@ -98,19 +116,32 @@ class BlockDevice : public Device {
     uint32_t pins = 0;
   };
 
+  /// Slots live in chunks that never move: chunk k holds kFirstChunk << k
+  /// slots, so kMaxChunks chunks cover every PageId and a slot's address is
+  /// fixed from creation until the device dies.
+  static constexpr size_t kFirstChunkBits = 6;
+  static constexpr size_t kFirstChunk = size_t{1} << kFirstChunkBits;
+  static constexpr size_t kMaxChunks = 33 - kFirstChunkBits;
+
+  /// The slot for an id below slot_count_.
+  PageSlot& SlotAt(PageId page) const;
   Status CheckLive(PageId page) const;
+  /// Moves one page between the per-class live counts (mu_ held).
+  void CountLive(DataClass cls, int delta);
 
   size_t block_size_;
   RumCounters* counters_;  // Not owned.
-  std::vector<PageSlot> pages_;
+  std::array<std::atomic<PageSlot*>, kMaxChunks> chunks_{};
+  /// Slots ever created; ids below it have a slot. Published with release
+  /// after the slot's chunk exists.
+  std::atomic<size_t> slot_count_{0};
+  std::mutex mu_;  // Guards free_list_, slot creation, liveness, counts.
   std::vector<PageId> free_list_;
-  size_t live_total_ = 0;
-  size_t live_base_ = 0;
-  size_t live_aux_ = 0;
-  size_t pins_outstanding_ = 0;
+  std::atomic<size_t> live_total_{0};
+  std::atomic<size_t> live_base_{0};
+  std::atomic<size_t> live_aux_{0};
+  std::atomic<size_t> pins_outstanding_{0};
   /// Last member: unregisters before any state its callbacks read dies.
-  /// BlockDevice has no internal lock (upper layers serialize access), so
-  /// its gauges must only be exported at quiescence.
   MetricsGroup metrics_;
 };
 

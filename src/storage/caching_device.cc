@@ -1,5 +1,6 @@
 #include "storage/caching_device.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <utility>
@@ -17,12 +18,29 @@ uint64_t NowNs() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// P = clamp(capacity / 32, 1, 16): a function of the capacity alone.
+size_t PartitionCount(size_t capacity_pages) {
+  return std::clamp<size_t>(capacity_pages / 32, 1, 16);
+}
+
+/// Partition i's share of `capacity` pages; shares sum to `capacity`.
+size_t ShareOf(size_t i, size_t partitions, size_t capacity) {
+  return capacity / partitions + (i < capacity % partitions ? 1 : 0);
+}
 }  // namespace
 
 CachingDevice::CachingDevice(Device* base, size_t capacity_pages,
                              MemoryRegistrar* registrar)
-    : base_(base), registrar_(registrar), capacity_pages_(capacity_pages) {
+    : base_(base),
+      registrar_(registrar),
+      num_partitions_(PartitionCount(capacity_pages)),
+      partitions_(new Partition[num_partitions_]),
+      capacity_pages_(capacity_pages) {
   assert(base_ != nullptr);
+  for (size_t i = 0; i < num_partitions_; ++i) {
+    partitions_[i].capacity = ShareOf(i, num_partitions_, capacity_pages);
+  }
   if (registrar_ != nullptr) registrar_->RegisterPool(this);
   metrics_.Init("caching_device");
   metrics_.Gauge("hits", [this] { return hits(); });
@@ -41,23 +59,54 @@ CachingDevice::~CachingDevice() {
   if (registrar_ != nullptr) registrar_->UnregisterPool(this);
 }
 
+CachingDevice::Partition& CachingDevice::PartitionOf(PageId page) const {
+  // Fibonacci hashing spreads consecutive page ids; the high 32 bits are
+  // then scaled onto [0, P) without a division.
+  uint64_t h = (static_cast<uint64_t>(page) * 0x9E3779B97F4A7C15ull) >> 32;
+  return partitions_[(h * num_partitions_) >> 32];
+}
+
+uint64_t CachingDevice::Sum(uint64_t Partition::*field) const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < num_partitions_; ++i) {
+    std::lock_guard<std::mutex> lock(partitions_[i].mu);
+    total += partitions_[i].*field;
+  }
+  return total;
+}
+
 void CachingDevice::TickRegistrar() {
   if (registrar_ != nullptr) registrar_->NotePoolOps(1);
 }
 
+void CachingDevice::NoteRecovery() {
+  if (!crashed_.load(std::memory_order_relaxed) || !crashed_.exchange(false)) {
+    return;
+  }
+  Trace::Emit(TraceKind::kRecovery, TraceOp::kNone, kInvalidPageId,
+              DataClass::kAux);
+}
+
 Status CachingDevice::SetCapacity(size_t capacity_pages) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_pages_ = capacity_pages;
+  std::lock_guard<std::mutex> resize(resize_mu_);
+  capacity_pages_.store(capacity_pages, std::memory_order_relaxed);
   // Trim immediately with the pin-safe sweep: pinned entries and victims
   // whose write-back fails are skipped, never sweep-ending, so a shrink
   // below the pinned population cannot wedge -- residency converges to the
-  // new cap through the unpin-time EvictDownTo as pins release.
-  return EvictDownTo(capacity_pages_);
+  // new share through the unpin-time EvictDownTo as pins release.
+  Status first_failure = Status::OK();
+  for (size_t i = 0; i < num_partitions_; ++i) {
+    Partition& p = partitions_[i];
+    std::lock_guard<std::mutex> lock(p.mu);
+    p.capacity = ShareOf(i, num_partitions_, capacity_pages);
+    Status s = EvictDownTo(&p, p.capacity);
+    if (first_failure.ok()) first_failure = s;
+  }
+  return first_failure;
 }
 
 uint64_t CachingDevice::pool_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<uint64_t>(capacity_pages_) * block_size();
+  return static_cast<uint64_t>(capacity_pages()) * block_size();
 }
 
 void CachingDevice::SetPoolBytes(uint64_t bytes) {
@@ -65,90 +114,79 @@ void CachingDevice::SetPoolBytes(uint64_t bytes) {
 }
 
 uint64_t CachingDevice::BenefitSignal() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_ * block_size();
+  return misses() * block_size();
 }
 
 size_t CachingDevice::capacity_pages() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_pages_;
+  return capacity_pages_.load(std::memory_order_relaxed);
 }
 
 Status CachingDevice::Allocate(DataClass cls, PageId* out) {
-  std::lock_guard<std::mutex> lock(mu_);
-  NoteRecoveryLocked();
+  NoteRecovery();
   return base_->Allocate(cls, out);
 }
 
-void CachingDevice::NoteRecoveryLocked() {
-  if (!crashed_) return;
-  crashed_ = false;
-  Trace::Emit(TraceKind::kRecovery, TraceOp::kNone, kInvalidPageId,
-              DataClass::kAux);
-}
-
 size_t CachingDevice::cached_pages() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.size();
+  size_t total = 0;
+  for (size_t i = 0; i < num_partitions_; ++i) {
+    std::lock_guard<std::mutex> lock(partitions_[i].mu);
+    total += partitions_[i].entries.size();
+  }
+  return total;
 }
 
-uint64_t CachingDevice::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
+uint64_t CachingDevice::hits() const { return Sum(&Partition::hits); }
 
-uint64_t CachingDevice::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
+uint64_t CachingDevice::misses() const { return Sum(&Partition::misses); }
 
 uint64_t CachingDevice::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
+  return Sum(&Partition::evictions);
 }
 
 uint64_t CachingDevice::write_backs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return write_backs_;
+  return Sum(&Partition::write_backs);
 }
 
 uint64_t CachingDevice::write_back_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return write_back_failures_;
+  return Sum(&Partition::write_back_failures);
 }
 
 size_t CachingDevice::pinned_pages() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pins_outstanding_;
+  return static_cast<size_t>(Sum(&Partition::pins));
 }
 
 Status CachingDevice::Free(PageId page) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(page);
-  if (it != entries_.end()) {
+  Partition& p = PartitionOf(page);
+  std::lock_guard<std::mutex> lock(p.mu);
+  auto it = p.entries.find(page);
+  if (it != p.entries.end()) {
     if (it->second.pins != 0) {
       return Status::InvalidArgument("cannot free a pinned page");
     }
-    DropEntry(page, &it->second);
+    DropEntry(&p, page, &it->second);
   }
   return base_->Free(page);
 }
 
-void CachingDevice::Touch(PageId page, CacheEntry* entry) {
-  lru_.erase(entry->lru_pos);
-  lru_.push_front(page);
-  entry->lru_pos = lru_.begin();
+std::vector<uint8_t> CachingDevice::TakeBuffer(Partition* p) {
+  return std::exchange(p->spare, {});
 }
 
-std::list<PageId>::iterator CachingDevice::DropEntry(PageId page,
+void CachingDevice::Touch(Partition* p, CacheEntry* entry) {
+  p->lru.splice(p->lru.begin(), p->lru, entry->lru_pos);
+}
+
+std::list<PageId>::iterator CachingDevice::DropEntry(Partition* p,
+                                                     PageId page,
                                                      CacheEntry* entry) {
   counters_.AdjustSpace(DataClass::kAux, -static_cast<int64_t>(block_size()));
-  auto next = lru_.erase(entry->lru_pos);
-  entries_.erase(page);
+  if (p->spare.capacity() == 0) p->spare = std::move(entry->bytes);
+  auto next = p->lru.erase(entry->lru_pos);
+  p->entries.erase(page);
   return next;
 }
 
-Status CachingDevice::EvictDownTo(size_t target) {
+Status CachingDevice::EvictDownTo(Partition* p, size_t target) {
   // One backward sweep, LRU toward MRU. Skipping (rather than aborting on)
   // pinned entries and failed write-backs is what keeps a single unwritable
   // dirty page from wedging eviction while clean victims exist -- and the
@@ -156,17 +194,17 @@ Status CachingDevice::EvictDownTo(size_t target) {
   // because the stuck victims stay *within* the existing entry set and
   // inserts that cannot make room below capacity fail instead of growing.
   Status first_failure = Status::OK();
-  auto it = lru_.end();
-  while (entries_.size() > target && it != lru_.begin()) {
+  auto it = p->lru.end();
+  while (p->entries.size() > target && it != p->lru.begin()) {
     --it;
     PageId page = *it;
-    CacheEntry& entry = entries_.at(page);
+    CacheEntry& entry = p->entries.at(page);
     if (entry.pins != 0) continue;  // Must stay at a stable address.
     bool was_dirty = entry.dirty;
     if (was_dirty) {
       Status s = base_->Write(page, entry.bytes);
       if (!s.ok()) {
-        ++write_back_failures_;
+        ++p->write_back_failures;
         Trace::Emit(TraceKind::kCacheWriteBackFail, TraceOp::kWrite, page,
                     DataClass::kAux);
         if (first_failure.ok()) {
@@ -177,128 +215,136 @@ Status CachingDevice::EvictDownTo(size_t target) {
         }
         continue;  // Victim stays cached (and dirty); try the next one.
       }
-      ++write_backs_;
+      ++p->write_backs;
       Trace::Emit(TraceKind::kCacheWriteBack, TraceOp::kWrite, page,
                   DataClass::kAux);
     }
-    ++evictions_;
+    ++p->evictions;
     Trace::Emit(TraceKind::kCacheEvict, TraceOp::kNone, page, DataClass::kAux,
                 was_dirty ? 1 : 0);
-    it = DropEntry(page, &entry);
+    it = DropEntry(p, page, &entry);
   }
-  // Report a failure only when it actually kept the cache above target; an
-  // all-pinned overshoot is the caller's documented transient state.
-  if (entries_.size() > target && !first_failure.ok()) return first_failure;
+  // Report a failure only when it actually kept the partition above
+  // target; an all-pinned overshoot is the caller's documented transient
+  // state.
+  if (p->entries.size() > target && !first_failure.ok()) return first_failure;
   return Status::OK();
 }
 
-Status CachingDevice::InsertEntry(PageId page, std::vector<uint8_t> bytes,
+Status CachingDevice::InsertEntry(Partition* p, PageId page,
+                                  const std::vector<uint8_t>& bytes,
                                   bool dirty) {
-  if (capacity_pages_ == 0) {
-    // Degenerate cache: write-through, cache nothing.
+  if (p->capacity == 0) {
+    // Degenerate share: write-through, cache nothing.
     if (dirty) return base_->Write(page, bytes);
     return Status::OK();
   }
-  if (entries_.size() >= capacity_pages_) {
-    Status s = EvictDownTo(capacity_pages_ - 1);
+  if (p->entries.size() >= p->capacity) {
+    Status s = EvictDownTo(p, p->capacity - 1);
     if (!s.ok()) return s;
   }
-  lru_.push_front(page);
-  CacheEntry entry;
-  entry.bytes = std::move(bytes);
+  p->lru.push_front(page);
+  CacheEntry& entry = p->entries[page];
+  entry.bytes = TakeBuffer(p);
+  entry.bytes.assign(bytes.begin(), bytes.end());
   entry.dirty = dirty;
-  entry.lru_pos = lru_.begin();
-  entries_.emplace(page, std::move(entry));
+  entry.lru_pos = p->lru.begin();
   counters_.AdjustSpace(DataClass::kAux, static_cast<int64_t>(block_size()));
   return Status::OK();
 }
 
 CachingDevice::CacheEntry* CachingDevice::InsertPinnedEntry(
-    PageId page, std::vector<uint8_t> bytes, bool speculative, Status* s) {
-  // Unlike the copy path, pins always need a resident entry -- even at
-  // capacity 0, where the entry lives only for the pin window and is
+    Partition* p, PageId page, std::vector<uint8_t> bytes, bool speculative,
+    Status* s) {
+  // Unlike the copy path, pins always need a resident entry -- even at a
+  // zero share, where the entry lives only for the pin window and is
   // trimmed away (write-back if dirty) when the last pin releases.
-  if (capacity_pages_ > 0 && entries_.size() >= capacity_pages_) {
-    *s = EvictDownTo(capacity_pages_ - 1);
-    if (!s->ok()) return nullptr;
+  if (p->capacity > 0 && p->entries.size() >= p->capacity) {
+    *s = EvictDownTo(p, p->capacity - 1);
+    if (!s->ok()) {
+      if (p->spare.capacity() == 0) p->spare = std::move(bytes);
+      return nullptr;
+    }
   }
-  lru_.push_front(page);
-  CacheEntry entry;
+  p->lru.push_front(page);
+  CacheEntry& entry = p->entries[page];
   entry.bytes = std::move(bytes);
   entry.pins = 1;
   entry.speculative = speculative;
-  entry.lru_pos = lru_.begin();
-  CacheEntry* inserted = &entries_.emplace(page, std::move(entry)).first->second;
+  entry.lru_pos = p->lru.begin();
   counters_.AdjustSpace(DataClass::kAux, static_cast<int64_t>(block_size()));
-  ++pins_outstanding_;
+  ++p->pins;
   *s = Status::OK();
-  return inserted;
+  return &entry;
 }
 
 Status CachingDevice::Read(PageId page, std::vector<uint8_t>* out) {
+  NoteRecovery();
+  Partition& p = PartitionOf(page);
   Status result = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    NoteRecoveryLocked();
-    auto it = entries_.find(page);
-    if (it != entries_.end()) {
-      ++hits_;
+    std::lock_guard<std::mutex> lock(p.mu);
+    auto it = p.entries.find(page);
+    if (it != p.entries.end()) {
+      ++p.hits;
       Trace::Emit(TraceKind::kCacheHit, TraceOp::kRead, page, DataClass::kAux);
       // Served at this level: charge the cache, not the device below.
       counters_.OnRead(DataClass::kAux, block_size());
       counters_.OnBlockRead();
-      Touch(page, &it->second);
+      Touch(&p, &it->second);
       *out = it->second.bytes;
       return Status::OK();
     }
-    ++misses_;
+    ++p.misses;
     Trace::Emit(TraceKind::kCacheMiss, TraceOp::kRead, page, DataClass::kAux);
     Status s = base_->Read(page, out);
     if (!s.ok()) return s;
-    return InsertEntry(page, *out, /*dirty=*/false);
+    return InsertEntry(&p, page, *out, /*dirty=*/false);
   }();
-  TickRegistrar();  // Outside mu_: a replan here re-enters SetCapacity.
+  TickRegistrar();  // Unlocked: a replan here re-enters SetCapacity.
   return result;
 }
 
 Status CachingDevice::Write(PageId page, const std::vector<uint8_t>& data) {
+  NoteRecovery();
+  Partition& p = PartitionOf(page);
   Status result = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    NoteRecoveryLocked();
     if (data.size() != block_size()) {
       return Status::InvalidArgument("write size must equal block size");
     }
+    std::lock_guard<std::mutex> lock(p.mu);
     counters_.OnWrite(DataClass::kAux, block_size());
     counters_.OnBlockWrite();
-    auto it = entries_.find(page);
-    if (it != entries_.end()) {
+    auto it = p.entries.find(page);
+    if (it != p.entries.end()) {
       Trace::Emit(TraceKind::kCacheHit, TraceOp::kWrite, page,
                   DataClass::kAux);
       it->second.bytes = data;
       it->second.dirty = true;
-      Touch(page, &it->second);
+      Touch(&p, &it->second);
       return Status::OK();
     }
     Trace::Emit(TraceKind::kCacheMiss, TraceOp::kWrite, page, DataClass::kAux);
-    return InsertEntry(page, data, /*dirty=*/true);
+    return InsertEntry(&p, page, data, /*dirty=*/true);
   }();
   TickRegistrar();
   return result;
 }
 
 Status CachingDevice::PinForRead(PageId page, PageReadGuard* out) {
+  NoteRecovery();
+  Partition& p = PartitionOf(page);
   Status result = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    NoteRecoveryLocked();
-    auto it = entries_.find(page);
-    if (it != entries_.end()) {
-      ++hits_;
+    std::lock_guard<std::mutex> lock(p.mu);
+    auto it = p.entries.find(page);
+    if (it != p.entries.end()) {
+      ++p.hits;
       Trace::Emit(TraceKind::kCacheHit, TraceOp::kPin, page, DataClass::kAux);
       // Served at this level: charge the cache, not the device below.
       counters_.OnRead(DataClass::kAux, block_size());
       counters_.OnBlockRead();
-      Touch(page, &it->second);
+      Touch(&p, &it->second);
       ++it->second.pins;
-      ++pins_outstanding_;
+      ++p.pins;
       if (Trace::enabled()) {
         if (it->second.pins == 1) it->second.pinned_at_ns = NowNs();
         Trace::Emit(TraceKind::kPinAcquire, TraceOp::kPin, page,
@@ -307,13 +353,16 @@ Status CachingDevice::PinForRead(PageId page, PageReadGuard* out) {
       *out = MakeReadGuard(this, page, it->second.bytes.data(), block_size());
       return Status::OK();
     }
-    ++misses_;
+    ++p.misses;
     Trace::Emit(TraceKind::kCacheMiss, TraceOp::kPin, page, DataClass::kAux);
-    std::vector<uint8_t> bytes;
+    std::vector<uint8_t> bytes = TakeBuffer(&p);
     Status s = base_->Read(page, &bytes);
-    if (!s.ok()) return s;
-    CacheEntry* entry =
-        InsertPinnedEntry(page, std::move(bytes), /*speculative=*/false, &s);
+    if (!s.ok()) {
+      p.spare = std::move(bytes);
+      return s;
+    }
+    CacheEntry* entry = InsertPinnedEntry(&p, page, std::move(bytes),
+                                          /*speculative=*/false, &s);
     if (entry == nullptr) return s;
     if (Trace::enabled()) {
       entry->pinned_at_ns = NowNs();
@@ -323,21 +372,22 @@ Status CachingDevice::PinForRead(PageId page, PageReadGuard* out) {
     *out = MakeReadGuard(this, page, entry->bytes.data(), block_size());
     return Status::OK();
   }();
-  // Outside mu_. The just-pinned entry is eviction-exempt, so a replan
-  // fired by this tick cannot invalidate the guard handed out above.
+  // Unlocked. The just-pinned entry is eviction-exempt, so a replan fired
+  // by this tick cannot invalidate the guard handed out above.
   TickRegistrar();
   return result;
 }
 
 Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
+  NoteRecovery();
+  Partition& p = PartitionOf(page);
   Status result = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    NoteRecoveryLocked();
-    auto it = entries_.find(page);
-    if (it != entries_.end()) {
-      Touch(page, &it->second);
+    std::lock_guard<std::mutex> lock(p.mu);
+    auto it = p.entries.find(page);
+    if (it != p.entries.end()) {
+      Touch(&p, &it->second);
       ++it->second.pins;
-      ++pins_outstanding_;
+      ++p.pins;
       if (Trace::enabled()) {
         if (it->second.pins == 1) it->second.pinned_at_ns = NowNs();
         Trace::Emit(TraceKind::kPinAcquire, TraceOp::kPin, page,
@@ -348,9 +398,11 @@ Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
     }
     // Blind write pin: hand out a zeroed block without faulting the page in,
     // mirroring the copy path's Write-on-miss (no base read is charged).
+    std::vector<uint8_t> bytes = TakeBuffer(&p);
+    bytes.assign(block_size(), 0);
     Status s;
-    CacheEntry* entry = InsertPinnedEntry(
-        page, std::vector<uint8_t>(block_size(), 0), /*speculative=*/true, &s);
+    CacheEntry* entry = InsertPinnedEntry(&p, page, std::move(bytes),
+                                          /*speculative=*/true, &s);
     if (entry == nullptr) return s;
     if (Trace::enabled()) {
       entry->pinned_at_ns = NowNs();
@@ -365,13 +417,14 @@ Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
 }
 
 void CachingDevice::UnpinRead(PageId page) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(page);
-  if (it == entries_.end() || it->second.pins == 0) {
+  Partition& p = PartitionOf(page);
+  std::lock_guard<std::mutex> lock(p.mu);
+  auto it = p.entries.find(page);
+  if (it == p.entries.end() || it->second.pins == 0) {
     return;  // Post-crash abandoned guard.
   }
   --it->second.pins;
-  --pins_outstanding_;
+  --p.pins;
   if (Trace::enabled()) {
     uint64_t held = it->second.pins == 0 && it->second.pinned_at_ns != 0
                         ? NowNs() - it->second.pinned_at_ns
@@ -382,19 +435,20 @@ void CachingDevice::UnpinRead(PageId page) {
   if (it->second.pins == 0) {
     // Trim any pin-induced overshoot. A failed write-back here simply
     // leaves the dirty victim cached; it retries on the next eviction.
-    EvictDownTo(capacity_pages_);
+    EvictDownTo(&p, p.capacity);
   }
 }
 
 Status CachingDevice::UnpinWrite(PageId page, bool dirty) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(page);
-  if (it == entries_.end() || it->second.pins == 0) {
+  Partition& p = PartitionOf(page);
+  std::lock_guard<std::mutex> lock(p.mu);
+  auto it = p.entries.find(page);
+  if (it == p.entries.end() || it->second.pins == 0) {
     return Status::OK();  // Post-crash abandoned guard.
   }
   CacheEntry& entry = it->second;
   --entry.pins;
-  --pins_outstanding_;
+  --p.pins;
   if (Trace::enabled()) {
     uint64_t held = entry.pins == 0 && entry.pinned_at_ns != 0
                         ? NowNs() - entry.pinned_at_ns
@@ -411,27 +465,29 @@ Status CachingDevice::UnpinWrite(PageId page, bool dirty) {
   } else if (entry.speculative && entry.pins == 0) {
     // A missed write pin released clean never became real data; drop it so
     // later reads are not served zeros.
-    DropEntry(page, &entry);
+    DropEntry(&p, page, &entry);
     return Status::OK();
   }
   if (entry.pins == 0) {
-    return EvictDownTo(capacity_pages_);
+    return EvictDownTo(&p, p.capacity);
   }
   return Status::OK();
 }
 
 Status CachingDevice::FlushAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  NoteRecoveryLocked();
-  for (auto& [page, entry] : entries_) {
-    if (entry.dirty) {
+  NoteRecovery();
+  for (size_t i = 0; i < num_partitions_; ++i) {
+    Partition& p = partitions_[i];
+    std::lock_guard<std::mutex> lock(p.mu);
+    for (auto& [page, entry] : p.entries) {
+      if (!entry.dirty) continue;
       Status s = base_->Write(page, entry.bytes);
       if (!s.ok()) {
         Trace::Emit(TraceKind::kCacheWriteBackFail, TraceOp::kFlush, page,
                     DataClass::kAux);
         return StatusBuilder(s).Op("FlushAll write-back").Page(page);
       }
-      ++write_backs_;
+      ++p.write_backs;
       Trace::Emit(TraceKind::kCacheWriteBack, TraceOp::kFlush, page,
                   DataClass::kAux);
       entry.dirty = false;
@@ -441,19 +497,23 @@ Status CachingDevice::FlushAll() {
 }
 
 void CachingDevice::Crash() {
-  std::lock_guard<std::mutex> lock(mu_);
-  Trace::Emit(TraceKind::kCrash, TraceOp::kNone, kInvalidPageId,
-              DataClass::kAux, entries_.size());
-  crashed_ = true;
   // All buffered state -- dirty or clean -- is volatile at this level;
   // releasing it adjusts this level's resident space back down. Dirty bytes
   // that never reached the base are simply lost, which is the point.
-  counters_.AdjustSpace(
-      DataClass::kAux,
-      -static_cast<int64_t>(entries_.size() * block_size()));
-  entries_.clear();
-  lru_.clear();
-  pins_outstanding_ = 0;
+  size_t dropped = 0;
+  for (size_t i = 0; i < num_partitions_; ++i) {
+    Partition& p = partitions_[i];
+    std::lock_guard<std::mutex> lock(p.mu);
+    dropped += p.entries.size();
+    p.entries.clear();
+    p.lru.clear();
+    p.pins = 0;
+  }
+  Trace::Emit(TraceKind::kCrash, TraceOp::kNone, kInvalidPageId,
+              DataClass::kAux, dropped);
+  counters_.AdjustSpace(DataClass::kAux,
+                        -static_cast<int64_t>(dropped * block_size()));
+  crashed_.store(true);
   base_->Crash();
 }
 

@@ -1,8 +1,10 @@
 #ifndef RUMLAB_STORAGE_CACHING_DEVICE_H_
 #define RUMLAB_STORAGE_CACHING_DEVICE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -25,17 +27,31 @@ namespace rum {
 /// bytes (its memory overhead MO at level n-1) are reported in this level's
 /// counters as auxiliary space.
 ///
-/// Thread safety: one internal mutex serializes every operation (LRU lists
-/// do not shard well), so a CachingDevice may be shared by concurrent
-/// access-method shards. Calls into the base device happen under that lock,
-/// serializing the whole stack beneath this level. Pins hold the lock only
-/// for the lookup/insert, not for the caller's whole critical section, so
-/// concurrent callers must touch disjoint pages while pinned (the
-/// ShardedMethod partitioning guarantees exactly that).
+/// Partitions: the cache is P independent LRU partitions, and a page
+/// belongs to the partition a multiplicative hash of its id picks. P is
+/// fixed at construction from the capacity alone,
+/// P = clamp(capacity_pages / 32, 1, 16) -- no knob and nothing host
+/// dependent, so RUM numbers do not move with the machine. Each partition
+/// owns a share of the capacity (shares always sum to `capacity_pages`;
+/// SetCapacity re-splits them) and evicts in exact LRU order within that
+/// share. A cache under 64 pages is one partition: one global exact LRU.
 ///
-/// Pinned entries are excluded from eviction, so a burst of pins can push
-/// residency transiently above `capacity_pages`; the overshoot is trimmed
-/// back as pins release.
+/// Thread safety: each partition has its own mutex guarding its map, LRU
+/// list, counts and the base-device I/O of its pages (miss reads and dirty
+/// write-backs), so a page's base traffic is ordered while pages of other
+/// partitions move in parallel. There is no global lock: the base device
+/// must accept concurrent calls on distinct pages (BlockDevice does, as do
+/// the fault and retry decorators). Allocate goes straight to the base.
+/// Pins hold their partition's lock only for the lookup/insert and the
+/// unpin bookkeeping, not for the caller's critical section, so concurrent
+/// callers must touch disjoint pages while pinned (the ShardedMethod
+/// partitioning guarantees exactly that). Aggregate getters, FlushAll and
+/// SetCapacity visit partitions one at a time in index order; Crash()
+/// requires quiescence.
+///
+/// Pinned entries are excluded from eviction, so a burst of pins can push a
+/// partition's residency transiently above its share; the overshoot is
+/// trimmed back as pins release.
 class CachingDevice : public Device, public MemoryPool {
  public:
   /// Wraps `base` (borrowed, must outlive this) with an LRU cache holding at
@@ -43,7 +59,7 @@ class CachingDevice : public Device, public MemoryPool {
   /// cache registers itself as a resizable kCache memory pool (global
   /// memory arbitration; see core/memory_budget.h) and ticks the
   /// registrar's epoch clock once per cache operation -- always after
-  /// releasing the internal lock, because a replan triggered by the tick
+  /// releasing its partition lock, because a replan triggered by the tick
   /// calls back into SetCapacity.
   CachingDevice(Device* base, size_t capacity_pages,
                 MemoryRegistrar* registrar = nullptr);
@@ -90,6 +106,7 @@ class CachingDevice : public Device, public MemoryPool {
   /// Returns non-OK (the first write-back failure) only when dirty-victim
   /// write-back faults kept residency above the new cap; the capacity
   /// itself is always updated.
+  /// The partition count is not changed by a resize; only the shares are.
   Status SetCapacity(size_t capacity_pages);
 
   // MemoryPool (the global arbiter's resize surface): assigned bytes are
@@ -115,6 +132,8 @@ class CachingDevice : public Device, public MemoryPool {
 
   /// Cached pages currently pinned (tests / debugging).
   size_t pinned_pages() const;
+  /// Number of LRU partitions (fixed at construction).
+  size_t partitions() const { return num_partitions_; }
 
  protected:
   void UnpinRead(PageId page) override;
@@ -134,47 +153,67 @@ class CachingDevice : public Device, public MemoryPool {
     std::list<PageId>::iterator lru_pos;
   };
 
-  /// Moves `page` to the MRU position.
-  void Touch(PageId page, CacheEntry* entry);
-  /// One LRU-to-MRU eviction sweep (writing back dirty victims) until at
-  /// most `target` entries remain. Pinned entries and victims whose dirty
-  /// write-back fails are *skipped*, not sweep-ending: a single unwritable
-  /// page cannot wedge eviction while clean victims exist. Returns non-OK
-  /// (the first write-back failure) only when failures left the cache above
-  /// `target`; an all-pinned overshoot still returns OK.
-  Status EvictDownTo(size_t target);
+  /// One LRU partition. Its mutex guards every field and the base-device
+  /// I/O of the pages that hash here.
+  struct alignas(64) Partition {
+    mutable std::mutex mu;
+    std::unordered_map<PageId, CacheEntry> entries;
+    std::list<PageId> lru;  // Front = MRU, back = LRU.
+    /// The last evicted entry's page buffer, reused by the next miss or
+    /// blind write pin so the steady state allocates no 4 KiB blocks.
+    std::vector<uint8_t> spare;
+    size_t capacity = 0;
+    uint64_t pins = 0;
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+    uint64_t evictions = 0;
+    uint64_t write_backs = 0;
+    uint64_t write_back_failures = 0;
+  };
+
+  Partition& PartitionOf(PageId page) const;
+  /// Sums `field` over every partition, one lock at a time.
+  uint64_t Sum(uint64_t Partition::*field) const;
+  /// A page buffer of any size: the partition's spare, else a fresh one.
+  static std::vector<uint8_t> TakeBuffer(Partition* p);
+  /// Moves `entry` to the MRU position.
+  static void Touch(Partition* p, CacheEntry* entry);
+  /// One LRU-to-MRU eviction sweep over `p` (writing back dirty victims)
+  /// until at most `target` entries remain. Pinned entries and victims
+  /// whose dirty write-back fails are *skipped*, not sweep-ending: a single
+  /// unwritable page cannot wedge eviction while clean victims exist.
+  /// Returns non-OK (the first write-back failure) only when failures left
+  /// the partition above `target`; an all-pinned overshoot still returns OK.
+  Status EvictDownTo(Partition* p, size_t target);
   /// Inserts a page copy, evicting as needed.
-  Status InsertEntry(PageId page, std::vector<uint8_t> bytes, bool dirty);
-  /// Inserts a pinned entry for the pin path; may overshoot capacity when
+  Status InsertEntry(Partition* p, PageId page,
+                     const std::vector<uint8_t>& bytes, bool dirty);
+  /// Inserts a pinned entry for the pin path; may overshoot the share when
   /// eviction candidates are all pinned. Returns the entry or nullptr on a
   /// write-back failure during eviction (status in `*s`).
-  CacheEntry* InsertPinnedEntry(PageId page, std::vector<uint8_t> bytes,
-                                bool speculative, Status* s);
-  /// Removes `entry` from the map and LRU list, releasing its space.
-  /// Returns the LRU-list iterator following the removed position, so an
-  /// eviction sweep can keep walking.
-  std::list<PageId>::iterator DropEntry(PageId page, CacheEntry* entry);
+  CacheEntry* InsertPinnedEntry(Partition* p, PageId page,
+                                std::vector<uint8_t> bytes, bool speculative,
+                                Status* s);
+  /// Removes `entry` from the map and LRU list, releasing its space and
+  /// keeping its buffer as the partition's spare. Returns the LRU-list
+  /// iterator following the removed position, so a sweep can keep walking.
+  std::list<PageId>::iterator DropEntry(Partition* p, PageId page,
+                                        CacheEntry* entry);
   /// Emits the one-shot kRecovery event on the first operation after a
-  /// Crash(). Call with mu_ held.
-  void NoteRecoveryLocked();
-  /// Ticks the registrar's epoch clock. MUST be called with mu_ released:
-  /// a replan fired by the tick re-enters SetCapacity, which locks mu_.
+  /// Crash().
+  void NoteRecovery();
+  /// Ticks the registrar's epoch clock. MUST be called with no partition
+  /// lock held: a replan fired by the tick re-enters SetCapacity.
   void TickRegistrar();
 
   Device* base_;  // Not owned.
   MemoryRegistrar* registrar_;  // Not owned; may be null.
-  size_t capacity_pages_;
+  const size_t num_partitions_;
+  std::unique_ptr<Partition[]> partitions_;
+  std::mutex resize_mu_;  // Serializes SetCapacity's re-splits.
+  std::atomic<size_t> capacity_pages_;
   RumCounters counters_;
-  mutable std::mutex mu_;  // Guards everything below (and base_ calls).
-  std::unordered_map<PageId, CacheEntry> entries_;
-  std::list<PageId> lru_;  // Front = MRU, back = LRU.
-  size_t pins_outstanding_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t write_backs_ = 0;
-  uint64_t write_back_failures_ = 0;
-  bool crashed_ = false;
+  std::atomic<bool> crashed_{false};
   /// Last member: unregisters before any state its callbacks read dies.
   MetricsGroup metrics_;
 };

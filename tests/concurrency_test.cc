@@ -3,6 +3,7 @@
 // std::map oracle at quiescence, and merged counter snapshots must satisfy
 // the same stats invariants stats_invariants_test.cc checks serially.
 // This tier is the one that must pass under ThreadSanitizer (see ci.sh).
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -286,69 +287,153 @@ TEST_P(ConcurrencyTest, ConcurrentProfilesAreDeterministic) {
 }
 
 // Four BTree shards share ONE CachingDevice: pins from different shards
-// interleave on the shared LRU while each shard's page set stays disjoint.
-// Exercises the documented pin contract under TSan -- pins hold the cache
-// lock only for lookup/insert, and eviction skips pinned entries, so a
-// small cache forces constant eviction traffic around live pins.
+// interleave on the shared LRU partitions while each shard's page set stays
+// disjoint. Exercises the documented pin contract under TSan -- pins hold a
+// partition lock only for lookup/insert, and eviction skips pinned entries,
+// so a small cache forces constant eviction traffic around live pins. Two
+// capacities: 32 pages is one partition (one global LRU); 256 pages is 8
+// partitions whose miss reads and write-backs reach the BlockDevice
+// concurrently.
 TEST(SharedCacheConcurrencyTest, ShardedBTreePinsOverOneCache) {
-  struct Wiring {
-    RumCounters counters;
-    BlockDevice bottom;
-    CachingDevice cache;
-    Wiring() : bottom(512, &counters), cache(&bottom, /*capacity_pages=*/32) {}
-  };
-  auto wiring = std::make_unique<Wiring>();
-  Options options = SmallOptions();
-  std::vector<std::unique_ptr<AccessMethod>> shards;
-  for (int t = 0; t < kThreads; ++t) {
-    shards.push_back(std::make_unique<BTree>(options, &wiring->cache));
-  }
-  ShardedMethod method("sharded-btree-shared-cache", std::move(shards));
-  ConcurrentReferenceModel oracle;
-  constexpr Key kRangePerThread = 2048;
-  constexpr int kOpsPerThread = 3000;
+  for (size_t capacity : {size_t{32}, size_t{256}}) {
+    SCOPED_TRACE("capacity_pages=" + std::to_string(capacity));
+    struct Wiring {
+      RumCounters counters;
+      BlockDevice bottom;
+      CachingDevice cache;
+      explicit Wiring(size_t pages)
+          : bottom(512, &counters), cache(&bottom, pages) {}
+    };
+    auto wiring = std::make_unique<Wiring>(capacity);
+    EXPECT_EQ(wiring->cache.partitions(), capacity == 32 ? 1u : 8u);
+    Options options = SmallOptions();
+    std::vector<std::unique_ptr<AccessMethod>> shards;
+    for (int t = 0; t < kThreads; ++t) {
+      shards.push_back(std::make_unique<BTree>(options, &wiring->cache));
+    }
+    ShardedMethod method("sharded-btree-shared-cache", std::move(shards));
+    ConcurrentReferenceModel oracle;
+    // Key ranges grow with the cache so both capacities keep evicting.
+    const Key range_per_thread = 64 * capacity;
+    constexpr int kOpsPerThread = 3000;
 
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Rng rng(0xCAC4E0 + t);
-      Key base = static_cast<Key>(t) * kRangePerThread;
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        Key key = base + rng.NextBelow(kRangePerThread);
-        uint64_t dice = rng.NextBelow(100);
-        if (dice < 55) {
-          Value v = rng.Next();
-          ASSERT_TRUE(method.Insert(key, v).ok());
-          oracle.Insert(key, v);
-        } else if (dice < 75) {
-          ASSERT_TRUE(method.Delete(key).ok());
-          oracle.Delete(key);
-        } else {
-          Value expected;
-          bool present = oracle.Get(key, &expected);
-          Result<Value> got = method.Get(key);
-          if (present) {
-            ASSERT_TRUE(got.ok()) << "thread " << t << " key " << key;
-            ASSERT_EQ(got.value(), expected);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(0xCAC4E0 + t);
+        Key base = static_cast<Key>(t) * range_per_thread;
+        for (int i = 0; i < kOpsPerThread; ++i) {
+          Key key = base + rng.NextBelow(range_per_thread);
+          uint64_t dice = rng.NextBelow(100);
+          if (dice < 55) {
+            Value v = rng.Next();
+            ASSERT_TRUE(method.Insert(key, v).ok());
+            oracle.Insert(key, v);
+          } else if (dice < 75) {
+            ASSERT_TRUE(method.Delete(key).ok());
+            oracle.Delete(key);
           } else {
-            ASSERT_TRUE(got.status().IsNotFound())
-                << "thread " << t << " key " << key;
+            Value expected;
+            bool present = oracle.Get(key, &expected);
+            Result<Value> got = method.Get(key);
+            if (present) {
+              ASSERT_TRUE(got.ok()) << "thread " << t << " key " << key;
+              ASSERT_EQ(got.value(), expected);
+            } else {
+              ASSERT_TRUE(got.status().IsNotFound())
+                  << "thread " << t << " key " << key;
+            }
           }
         }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+
+    // Quiescence: nothing left pinned, the cache stayed within capacity
+    // while evicting, and it drains cleanly.
+    EXPECT_EQ(wiring->cache.pinned_pages(), 0u);
+    EXPECT_LE(wiring->cache.cached_pages(), capacity);
+    EXPECT_GT(wiring->cache.evictions(), 0u);
+    ASSERT_TRUE(wiring->cache.FlushAll().ok());
+    ASSERT_EQ(method.size(), oracle.quiesced().size());
+    Rng spot(0xFACADE);
+    for (int i = 0; i < 500; ++i) {
+      Key key = spot.NextBelow(kThreads * range_per_thread);
+      ASSERT_TRUE(GetMatchesReference(&method, oracle.quiesced(), key));
+    }
+  }
+}
+
+// Allocate/Free churn races Reads and Writes of other live pages on one
+// BlockDevice: slots never move and only allocation state is locked, so
+// every long-lived page keeps its own bytes and the live count and space
+// charge come back exact at quiescence.
+TEST(SharedCacheConcurrencyTest, BlockDeviceAllocFreeRacesLivePageIo) {
+  constexpr size_t kBlock = 64;
+  constexpr int kPagesPerThread = 8;
+  constexpr int kRounds = 2000;
+  RumCounters counters;
+  BlockDevice device(kBlock, &counters);
+  // Each reader/writer thread owns a few long-lived pages.
+  std::vector<std::vector<PageId>> owned(kThreads);
+  for (auto& pages : owned) {
+    for (int i = 0; i < kPagesPerThread; ++i) {
+      PageId id;
+      ASSERT_TRUE(device.Allocate(DataClass::kBase, &id).ok());
+      pages.push_back(id);
+    }
+  }
+
+  std::vector<std::thread> threads;
+  // Churners: allocate (growing the slot table past several chunks), then
+  // free half of what they hold, interleaved with everyone's page I/O.
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0xA110C + t);
+      std::vector<PageId> held;
+      for (int r = 0; r < kRounds; ++r) {
+        if (held.empty() || rng.NextBelow(3) != 0) {
+          PageId id;
+          ASSERT_TRUE(device.Allocate(DataClass::kAux, &id).ok());
+          held.push_back(id);
+        } else {
+          size_t victim = rng.NextBelow(held.size());
+          ASSERT_TRUE(device.Free(held[victim]).ok());
+          held[victim] = held.back();
+          held.pop_back();
+        }
+      }
+      for (PageId id : held) ASSERT_TRUE(device.Free(id).ok());
+    });
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<uint8_t> buf(kBlock);
+      for (int r = 0; r < kRounds; ++r) {
+        PageId id = owned[t][r % kPagesPerThread];
+        std::fill(buf.begin(), buf.end(), static_cast<uint8_t>(r));
+        ASSERT_TRUE(device.Write(id, buf).ok());
+        std::vector<uint8_t> back;
+        ASSERT_TRUE(device.Read(id, &back).ok());
+        ASSERT_EQ(back, buf) << "thread " << t << " page " << id;
+        PageReadGuard guard;
+        ASSERT_TRUE(device.PinForRead(id, &guard).ok());
+        ASSERT_EQ(guard.bytes()[0], static_cast<uint8_t>(r));
       }
     });
   }
   for (auto& thread : threads) thread.join();
 
-  // Quiescence: nothing left pinned, and the cache drains cleanly.
-  EXPECT_EQ(wiring->cache.pinned_pages(), 0u);
-  ASSERT_TRUE(wiring->cache.FlushAll().ok());
-  ASSERT_EQ(method.size(), oracle.quiesced().size());
-  Rng spot(0xFACADE);
-  for (int i = 0; i < 500; ++i) {
-    Key key = spot.NextBelow(kThreads * kRangePerThread);
-    ASSERT_TRUE(GetMatchesReference(&method, oracle.quiesced(), key));
-  }
+  EXPECT_EQ(device.pinned_pages(), 0u);
+  EXPECT_EQ(device.live_pages(), static_cast<size_t>(kThreads) *
+                                     kPagesPerThread);
+  EXPECT_EQ(device.live_pages(DataClass::kAux), 0u);
+  CounterSnapshot snap = counters.snapshot();
+  EXPECT_EQ(snap.space_base, device.live_pages() * kBlock);
+  EXPECT_EQ(snap.space_aux, 0u);
+  EXPECT_EQ(snap.blocks_written,
+            static_cast<uint64_t>(kThreads) * kRounds);
+  EXPECT_EQ(snap.blocks_read, 2 * static_cast<uint64_t>(kThreads) * kRounds);
 }
 
 TEST(ConcurrencyRunnerTest, RejectsUnpartitionedMethods) {

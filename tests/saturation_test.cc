@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -306,6 +307,61 @@ TEST(SaturationTest, CoalescingOffServesEveryGetIndividually) {
   EXPECT_EQ(scheduler.stats().end_us,
             options.service.dispatch_overhead_us +
                 8 * options.service.op_cost_us);
+}
+
+// A full 4096-Get window of Zipfian keys, half of them absent: coalescing
+// serves every duplicate from its key's first occurrence, so each request
+// gets exactly what the uncoalesced run gives it, and `coalesced_reads`
+// counts every request past the first of its key.
+TEST(SaturationTest, LargeWindowCoalescingMatchesPerRequestService) {
+  constexpr size_t kWindow = 4096;
+  KeyGenerator keys(KeyDistribution::kZipfian, 2 * kWindow, kSatSeed);
+  std::vector<Key> window(kWindow);
+  for (Key& k : window) k = keys.Next();
+  std::set<Key> distinct(window.begin(), window.end());
+  ASSERT_LT(distinct.size(), kWindow / 2);  // The window is duplicate-heavy.
+
+  struct Served {
+    bool found = false;
+    Value value = 0;
+    Code code = Code::kOk;
+  };
+  auto serve = [&](bool coalesce, ServiceStats* stats,
+                   uint64_t* point_queries) {
+    auto method = PrefilledMethod();
+    Options options = UnitOptions();
+    options.service.batch_max_ops = kWindow;
+    options.service.coalesce_reads = coalesce;
+    RequestScheduler scheduler(method.get(), options);
+    std::vector<Served> served(kWindow);
+    scheduler.set_completion([&](const Request& req, const RequestResult& r) {
+      served[req.seq] = {r.found, r.value, r.status.code()};
+    });
+    CounterSnapshot before = method->stats();
+    for (Key k : window) EXPECT_TRUE(scheduler.Submit(GetRequest(k)));
+    scheduler.RunUntilIdle();
+    *point_queries = (method->stats() - before).point_queries;
+    *stats = scheduler.stats();
+    return served;
+  };
+
+  ServiceStats on, off;
+  uint64_t on_queries = 0, off_queries = 0;
+  std::vector<Served> coalesced = serve(true, &on, &on_queries);
+  std::vector<Served> individual = serve(false, &off, &off_queries);
+  for (size_t i = 0; i < kWindow; ++i) {
+    EXPECT_EQ(coalesced[i].found, individual[i].found) << "request " << i;
+    EXPECT_EQ(coalesced[i].value, individual[i].value) << "request " << i;
+    EXPECT_EQ(coalesced[i].code, individual[i].code) << "request " << i;
+    EXPECT_EQ(coalesced[i].found, window[i] < kWindow) << "request " << i;
+  }
+  EXPECT_EQ(on.batches, 1u);
+  EXPECT_EQ(on.coalesced_reads, kWindow - distinct.size());
+  EXPECT_EQ(off.coalesced_reads, 0u);
+  EXPECT_EQ(on_queries, distinct.size());
+  EXPECT_EQ(off_queries, kWindow);
+  ExpectLedgerExact(on, kWindow);
+  ExpectLedgerExact(off, kWindow);
 }
 
 // A request that expires in queue completes kDeadlineExceeded without the

@@ -2,6 +2,10 @@
 // device, append log, heap file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "core/counters.h"
 #include "storage/append_log.h"
 #include "storage/block_device.h"
@@ -9,6 +13,7 @@
 #include "storage/heap_file.h"
 #include "storage/page_format.h"
 #include "tests/testing_util.h"
+#include "workload/distribution.h"
 
 namespace rum {
 namespace {
@@ -471,6 +476,96 @@ TEST(CachingDeviceTest, SetCapacityBelowPinnedResidencyDoesNotWedge) {
   EXPECT_LE(cache.cached_pages(), 2u);
   g2.Release();
   EXPECT_LE(cache.cached_pages(), 1u);
+}
+
+// Partitioned identities across capacities that give 1..16 partitions and
+// across resizes, including to 0 and back: the capacity reads back as set,
+// the pool is exactly capacity x block, residency never exceeds the
+// capacity at quiescence, every read is a hit or a miss, and no resize
+// loses a byte.
+TEST(CachingDeviceTest, PartitionIdentitiesHoldAcrossCapacitiesAndResizes) {
+  constexpr size_t kSmallBlock = 64;
+  for (size_t capacity : {0, 1, 63, 64, 100, 512, 8192}) {
+    SCOPED_TRACE("capacity_pages=" + std::to_string(capacity));
+    RumCounters counters;
+    BlockDevice device(kSmallBlock, &counters);
+    CachingDevice cache(&device, capacity);
+    EXPECT_EQ(cache.partitions(), std::clamp<size_t>(capacity / 32, 1, 16));
+
+    const size_t num_pages = capacity + capacity / 2 + 40;
+    std::vector<PageId> pages;
+    std::vector<uint8_t> last(num_pages);
+    for (size_t i = 0; i < num_pages; ++i) {
+      pages.push_back(testing_util::MustAllocate(cache, DataClass::kBase));
+      last[i] = static_cast<uint8_t>(i);
+      ASSERT_TRUE(
+          cache.Write(pages[i], std::vector<uint8_t>(kSmallBlock, last[i]))
+              .ok());
+    }
+    Rng rng(0x1DE + capacity);
+    uint64_t reads = 0;
+    auto check = [&](size_t expected_capacity) {
+      EXPECT_EQ(cache.capacity_pages(), expected_capacity);
+      EXPECT_EQ(cache.pool_bytes(), expected_capacity * kSmallBlock);
+      EXPECT_LE(cache.cached_pages(), expected_capacity);
+      EXPECT_EQ(cache.pinned_pages(), 0u);
+      EXPECT_EQ(cache.hits() + cache.misses(), reads);
+    };
+    // Skewed traffic over copy and pin paths, rewriting now and then.
+    auto traffic = [&](size_t ops) {
+      for (size_t n = 0; n < ops; ++n) {
+        size_t i = rng.NextBelow(rng.NextBelow(2) == 0 ? num_pages / 4 + 1
+                                                      : num_pages);
+        if (rng.NextBelow(8) == 0) {
+          last[i] = static_cast<uint8_t>(rng.Next());
+          PageWriteGuard g;
+          ASSERT_TRUE(cache.PinForWrite(pages[i], &g).ok());
+          std::fill(g.bytes().begin(), g.bytes().end(), last[i]);
+          g.MarkDirty();
+          ASSERT_TRUE(g.Release().ok());
+        } else if (rng.NextBelow(2) == 0) {
+          std::vector<uint8_t> out;
+          ASSERT_TRUE(cache.Read(pages[i], &out).ok());
+          ASSERT_EQ(out[0], last[i]) << "page " << i;
+          ++reads;
+        } else {
+          PageReadGuard g;
+          ASSERT_TRUE(cache.PinForRead(pages[i], &g).ok());
+          ASSERT_EQ(g.bytes()[kSmallBlock - 1], last[i]) << "page " << i;
+          ++reads;
+        }
+      }
+    };
+    // Shares sum to the capacity exactly: with more pages than capacity,
+    // one read of every page fills every partition to its share.
+    auto fills_to = [&](size_t expected_capacity) {
+      for (size_t i = 0; i < num_pages; ++i) {
+        std::vector<uint8_t> out;
+        ASSERT_TRUE(cache.Read(pages[i], &out).ok());
+        ++reads;
+      }
+      EXPECT_EQ(cache.cached_pages(), expected_capacity);
+    };
+    traffic(3 * num_pages);
+    check(capacity);
+    fills_to(capacity);
+    for (size_t resize : {capacity / 2, size_t{0}, capacity, 3 * capacity + 7,
+                          size_t{1}, capacity}) {
+      ASSERT_TRUE(cache.SetCapacity(resize).ok());
+      check(resize);
+      traffic(num_pages);
+      check(resize);
+      if (resize <= capacity) fills_to(resize);
+    }
+    cache.SetPoolBytes(capacity * kSmallBlock + kSmallBlock / 2);
+    check(capacity);
+    ASSERT_TRUE(cache.FlushAll().ok());
+    for (size_t i = 0; i < num_pages; ++i) {
+      std::vector<uint8_t> out;
+      ASSERT_TRUE(device.Read(pages[i], &out).ok());
+      EXPECT_EQ(out, std::vector<uint8_t>(kSmallBlock, last[i])) << i;
+    }
+  }
 }
 
 TEST(AppendLogTest, AppendsAmortizeToOneWritePerRecord) {
