@@ -218,6 +218,11 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "asan" ]]; then
   # hold with ASan watching the batch grouping and shared page walks.
   echo "=== asan: multiget differential tier (explicit) ==="
   (cd build-asan && ctest --output-on-failure -R multiget_differential_test)
+  # core_test is named explicitly for its KeySet differential tier: the flat
+  # live-key set's probing, wraparound and backward-shift erase must match
+  # std::unordered_set over millions of ops with ASan watching the array.
+  echo "=== asan: core / KeySet differential tier (explicit) ==="
+  (cd build-asan && ctest --output-on-failure -R core_test)
 fi
 
 if [[ "${STAGE}" == "all" || "${STAGE}" == "tsan" ]]; then

@@ -39,6 +39,17 @@ class LatencyHistogram {
     if (count_ == 1 || value < min_) min_ = value;
   }
 
+  /// Records `value` `count` times: the same state as `count` Record(value)
+  /// calls (sum_ wraps identically), in O(1).
+  void Record(uint64_t value, uint64_t count) {
+    if (count == 0) return;
+    buckets_[BucketIndex(value)] += count;
+    if (count_ == 0 || value < min_) min_ = value;
+    count_ += count;
+    sum_ += value * count;
+    if (value > max_) max_ = value;
+  }
+
   /// Folds another histogram into this one (exact: buckets add).
   void Merge(const LatencyHistogram& other);
 

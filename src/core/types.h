@@ -36,6 +36,15 @@ inline constexpr size_t kEntrySize = sizeof(Key) + sizeof(Value);
 inline constexpr Key kMinKey = 0;
 inline constexpr Key kMaxKey = std::numeric_limits<Key>::max();
 
+/// Stable 64-bit key mix (splitmix64): shared by every sketch, the hash
+/// index and the simulator's KeySet.
+inline uint64_t MixHash(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
+
 /// Identifies a page on a simulated block device.
 using PageId = uint32_t;
 inline constexpr PageId kInvalidPageId = std::numeric_limits<PageId>::max();

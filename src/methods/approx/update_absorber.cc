@@ -153,10 +153,14 @@ Status UpdateAbsorber::BulkLoad(std::span<const Entry> entries) {
   if (!delta_.empty() || size() != 0) {
     return Status::InvalidArgument("BulkLoad requires an empty structure");
   }
+  // The base validates the input; a rejected load leaves nothing behind.
+  Status s = base_->BulkLoad(entries);
+  if (!s.ok()) return s;
   counters().OnLogicalWrite(static_cast<uint64_t>(entries.size()) *
                             kEntrySize);
+  live_keys_.reserve(entries.size());
   for (const Entry& e : entries) live_keys_.insert(e.key);
-  return base_->BulkLoad(entries);
+  return Status::OK();
 }
 
 Status UpdateAbsorber::Flush() {

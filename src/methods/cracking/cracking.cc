@@ -256,6 +256,7 @@ Status CrackedColumn::BulkLoad(std::span<const Entry> entries) {
     size_t j = static_cast<size_t>((state * 0x2545F4914F6CDD1DULL) % i);
     std::swap(column_[i - 1], column_[j]);
   }
+  live_keys_.reserve(column_.size());
   for (const Entry& e : column_) live_keys_.insert(e.key);
   counters().OnWrite(DataClass::kBase,
                      static_cast<uint64_t>(column_.size()) * kEntrySize);

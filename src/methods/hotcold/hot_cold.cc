@@ -165,10 +165,14 @@ Status HotColdStore::BulkLoad(std::span<const Entry> entries) {
   if (size() != 0) {
     return Status::InvalidArgument("BulkLoad requires an empty structure");
   }
+  // The cold store validates the input; a rejected load leaves nothing.
+  Status s = cold_->BulkLoad(entries);
+  if (!s.ok()) return s;
   counters().OnLogicalWrite(static_cast<uint64_t>(entries.size()) *
                             kEntrySize);
+  live_keys_.reserve(entries.size());
   for (const Entry& e : entries) live_keys_.insert(e.key);
-  return cold_->BulkLoad(entries);
+  return Status::OK();
 }
 
 Status HotColdStore::Flush() {

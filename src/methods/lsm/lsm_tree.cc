@@ -417,6 +417,7 @@ Status LsmTree::BulkLoad(std::span<const Entry> entries) {
   if (entries.empty()) return Status::OK();
   std::vector<LogRecord> records;
   records.reserve(entries.size());
+  live_keys_.reserve(entries.size());
   for (const Entry& e : entries) {
     records.push_back(LogRecord{e.key, e.value, LogOp::kPut});
     live_keys_.insert(e.key);

@@ -119,6 +119,7 @@ Status PartitionedBTree::BulkLoad(std::span<const Entry> entries) {
   if (!s.ok()) return s;
   partitions_.clear();
   partitions_.push_back(std::move(fresh));
+  live_keys_.reserve(entries.size());
   for (const Entry& e : entries) live_keys_.insert(e.key);
   counters().OnLogicalWrite(static_cast<uint64_t>(entries.size()) *
                             kEntrySize);

@@ -2,10 +2,10 @@
 #define RUMLAB_METHODS_PBT_PBT_H_
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/access_method.h"
+#include "core/key_set.h"
 #include "core/options.h"
 #include "methods/btree/btree.h"
 
@@ -58,7 +58,7 @@ class PartitionedBTree : public AccessMethod {
   CounterSnapshot retired_;  // Traffic of merged-away partitions.
   uint64_t merges_ = 0;
   // Simulator-side bookkeeping (unaccounted): exact live-key set.
-  std::unordered_set<Key> live_keys_;
+  KeySet live_keys_;
 };
 
 }  // namespace rum

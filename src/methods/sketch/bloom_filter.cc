@@ -5,13 +5,6 @@
 
 namespace rum {
 
-uint64_t MixHash(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 BloomFilter::BloomFilter(size_t expected_keys, size_t bits_per_key,
                          RumCounters* counters)
     : counters_(counters) {

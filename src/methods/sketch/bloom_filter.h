@@ -96,9 +96,6 @@ class BloomFilter {
   RumCounters* counters_;  // Not owned; may be null.
 };
 
-/// Stable 64-bit mix used by every sketch in rumlab (splitmix64 finalizer).
-uint64_t MixHash(uint64_t x);
-
 }  // namespace rum
 
 #endif  // RUMLAB_METHODS_SKETCH_BLOOM_FILTER_H_

@@ -158,11 +158,9 @@ void ScheduledMethod::AccountBatch(size_t n, uint64_t cost_us, bool failed) {
   std::lock_guard<std::mutex> lock(mu_);
   stats_.completed += n;
   if (failed) stats_.failed += n;
-  for (size_t i = 0; i < n; ++i) {
-    stats_.queue_delay_us.Record(0);
-    stats_.service_us.Record(cost_us);
-    stats_.total_us.Record(cost_us);
-  }
+  stats_.queue_delay_us.Record(0, n);
+  stats_.service_us.Record(cost_us, n);
+  stats_.total_us.Record(cost_us, n);
   if (opts_.slo_us == 0 || cost_us <= opts_.slo_us) {
     stats_.completed_within_slo += n;
   }

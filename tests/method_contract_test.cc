@@ -20,6 +20,16 @@ using testing_util::ReferenceModel;
 using testing_util::ScanMatchesReference;
 using testing_util::SmallOptions;
 
+// gtest names may not contain '-'.
+std::string MethodTestName(
+    const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (c == '-') c = '_';
+  }
+  return name;
+}
+
 class MethodContractTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
@@ -78,6 +88,13 @@ TEST_P(MethodContractTest, BulkLoadRejectsUnsortedInput) {
   EXPECT_EQ(method_->BulkLoad(bad).code(), Code::kInvalidArgument);
   std::vector<Entry> dup = {{10, 1}, {10, 2}};
   EXPECT_EQ(method_->BulkLoad(dup).code(), Code::kInvalidArgument);
+  // A rejected load leaves the structure empty, so a valid one still runs.
+  EXPECT_EQ(method_->size(), 0u);
+  std::vector<Entry> good = {{5, 2}, {10, 1}};
+  ASSERT_TRUE(method_->BulkLoad(good).ok());
+  for (const Entry& e : good) reference_.Insert(e.key, e.value);
+  EXPECT_EQ(method_->size(), good.size());
+  CheckScan(0, 20);
 }
 
 TEST_P(MethodContractTest, BulkLoadRejectsNonEmptyTarget) {
@@ -277,13 +294,79 @@ INSTANTIATE_TEST_SUITE_P(
                       "magic-array", "pure-log", "dense-array",
                       "sharded-btree", "sharded-hash", "sharded-skiplist",
                       "sharded-lsm-leveled"),
-    [](const ::testing::TestParamInfo<std::string>& info) {
-      std::string name = info.param;
-      for (char& c : name) {
-        if (c == '-') c = '_';
+    MethodTestName);
+
+// The methods whose size() comes from a simulator-side live-key set
+// (KeySet): after a bulk load, every kind of churn that could desync that
+// set from the data -- re-inserting live keys, deleting absent ones,
+// delete-then-reinsert -- must leave size() and space_base exactly where the
+// std::map oracle puts them. The absorber is the one exception on
+// space_base: it reports its wrapped B-tree's base charge, which is whole
+// leaf pages, so only its size() is held to the oracle.
+class LiveKeyBookkeepingTest : public MethodContractTest {
+ protected:
+  void CheckLiveCount(const char* op, Key key) {
+    ASSERT_EQ(method_->size(), reference_.size())
+        << method_->name() << " after " << op << " " << key;
+    if (GetParam() == "absorbed-btree") return;
+    ASSERT_EQ(method_->stats().space_base, reference_.size() * kEntrySize)
+        << method_->name() << " after " << op << " " << key;
+  }
+};
+
+TEST_P(LiveKeyBookkeepingTest, ChurnAfterBulkLoadTracksOracleCount) {
+  const size_t kN = 2000;
+  std::vector<Entry> entries = MakeSortedEntries(kN, /*first=*/0,
+                                                 /*stride=*/2);
+  ASSERT_TRUE(method_->BulkLoad(entries).ok());
+  for (const Entry& e : entries) reference_.Insert(e.key, e.value);
+  ASSERT_NO_FATAL_FAILURE(CheckLiveCount("bulk load", 0));
+  // Loaded keys are even; odd keys start absent.
+  Rng rng(0x11FE);
+  for (int i = 0; i < 3000; ++i) {
+    Key key = rng.NextBelow(2 * kN + 64);
+    Value v = rng.Next();
+    switch (rng.NextBelow(4)) {
+      case 0:  // Re-insert (or first insert): an upsert.
+        ASSERT_TRUE(method_->Insert(key, v).ok());
+        reference_.Insert(key, v);
+        CheckLiveCount("insert", key);
+        break;
+      case 1:  // Delete of a key that is absent (odd) or live (even).
+        ASSERT_TRUE(method_->Delete(key | 1).ok());
+        reference_.Delete(key | 1);
+        CheckLiveCount("delete", key | 1);
+        break;
+      case 2:  // Delete then re-insert the same key.
+        ASSERT_TRUE(method_->Delete(key).ok());
+        reference_.Delete(key);
+        CheckLiveCount("delete", key);
+        ASSERT_TRUE(method_->Insert(key, v).ok());
+        reference_.Insert(key, v);
+        CheckLiveCount("re-insert", key);
+        break;
+      default: {  // Re-insert a key known to be live.
+        auto it = reference_.map().lower_bound(key);
+        if (it == reference_.map().end()) it = reference_.map().begin();
+        Key live = it->first;
+        ASSERT_TRUE(method_->Insert(live, v).ok());
+        reference_.Insert(live, v);
+        CheckLiveCount("live re-insert", live);
+        break;
       }
-      return name;
-    });
+    }
+    if (HasFatalFailure()) return;
+  }
+  ASSERT_TRUE(method_->Flush().ok());
+  ASSERT_NO_FATAL_FAILURE(CheckLiveCount("flush", 0));
+  CheckScan(0, 2 * kN + 64);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LiveKeySetMethods, LiveKeyBookkeepingTest,
+    ::testing::Values("lsm-leveled", "lsm-tiered", "stepped-merge", "pbt",
+                      "hot-cold", "absorbed-btree", "cracking"),
+    MethodTestName);
 
 }  // namespace
 }  // namespace rum

@@ -173,6 +173,33 @@ TEST(LatencyHistogramTest, MergeMatchesCombinedRecording) {
   }
 }
 
+// Record(value, count) is ScheduledMethod's per-batch accounting: it must
+// leave exactly the state of `count` single Records -- every query and the
+// JSON export byte-identical, including count 0, a first record that sets
+// min, and a sum that wraps.
+TEST(LatencyHistogramTest, RecordWithCountMatchesRepeatedRecord) {
+  LatencyHistogram batched, single;
+  batched.Record(17, 0);  // No-op on an empty histogram: min stays unset.
+  EXPECT_EQ(batched.count(), 0u);
+  EXPECT_EQ(batched.ToJson(), single.ToJson());
+  Rng rng(0xB47C);
+  for (int i = 0; i < 200; ++i) {
+    uint64_t value = rng.NextBelow(100) < 90 ? rng.NextBelow(1 << 20)
+                                             : rng.Next();  // Wraps sum_.
+    uint64_t count = rng.NextBelow(65);
+    batched.Record(value, count);
+    for (uint64_t c = 0; c < count; ++c) single.Record(value);
+    ASSERT_EQ(batched.ToJson(), single.ToJson()) << "after " << i;
+  }
+  EXPECT_EQ(batched.count(), single.count());
+  EXPECT_EQ(batched.sum(), single.sum());
+  EXPECT_EQ(batched.min(), single.min());
+  EXPECT_EQ(batched.max(), single.max());
+  for (uint64_t v : {uint64_t{0}, uint64_t{1000}, uint64_t{1} << 19}) {
+    EXPECT_EQ(batched.CountAtOrBelow(v), single.CountAtOrBelow(v)) << v;
+  }
+}
+
 // The p999 accessor and cumulative counts back the saturation tier's SLO
 // arithmetic: completions at-or-under a latency bound must be exact for
 // small values (where buckets are 1-wide), and p999 must land between p99
