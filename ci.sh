@@ -240,12 +240,19 @@ if [[ "${STAGE}" == "all" || "${STAGE}" == "tsan" ]]; then
   # tier's concurrent value is the sharded wrapper's per-shard batch
   # dispatch under its shard mutexes.
   # saturation_test rides in the TSan tier for the closed-loop front door:
-  # ScheduledMethod's mutex-guarded bookkeeping around unlocked inner calls
+  # ScheduledMethod's lock-guarded bookkeeping around unlocked inner calls
   # is exactly the shape TSan exists to check.
   # memory_arbiter_test rides along for the arbiter's lock discipline: the
   # lock-free epoch clock, the replan's arbiter-mutex -> component-atomics
   # ordering, and the pool registration/unregistration paths.
-  TSAN_FILTER="-R concurrency_test|differential_test|scan_differential_test|multiget_differential_test|chaos_test|trace_test|compaction_policy_test|saturation_test|memory_arbiter_test"
+  # core_test rides in the TSan tier for its SpinLock cases: four threads
+  # bump a plain counter under the spin-then-park lock that guards the cache
+  # partitions and the scheduler ledger, so a lock that admitted two holders
+  # is a reported race, and a waiter parks and wakes through the futex path.
+  # btree_test is single-threaded; it rides along so the in-place leaf
+  # edits' page-image parity with the copy path (a write pin taken under a
+  # read pin of the same page) also holds in this Debug build, asserts on.
+  TSAN_FILTER="-R concurrency_test|differential_test|scan_differential_test|multiget_differential_test|chaos_test|trace_test|compaction_policy_test|saturation_test|memory_arbiter_test|core_test|btree_test"
   if [[ "${RUMLAB_CI_FULL_TSAN:-0}" == "1" ]]; then
     TSAN_FILTER=""
   fi

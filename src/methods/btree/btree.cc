@@ -100,6 +100,13 @@ Status BTree::StoreInner(PageId page, const BTreeInner& inner) {
 
 Status BTree::DescendToLeaf(Key key, std::vector<PathStep>* path,
                             PageId* leaf_id, BTreeLeaf* leaf) {
+  Status s = DescendToLeafPage(key, path, leaf_id);
+  if (!s.ok()) return s;
+  return LoadLeaf(*leaf_id, leaf);
+}
+
+Status BTree::DescendToLeafPage(Key key, std::vector<PathStep>* path,
+                                PageId* leaf_id) {
   assert(root_ != kInvalidPageId);
   PageId page = root_;
   for (size_t level = height_; level > 1; --level) {
@@ -124,7 +131,7 @@ Status BTree::DescendToLeaf(Key key, std::vector<PathStep>* path,
     page = inner.children[child];
   }
   *leaf_id = page;
-  return LoadLeaf(page, leaf);
+  return Status::OK();
 }
 
 Status BTree::InsertIntoParent(std::vector<PathStep>& path, size_t level,
@@ -192,8 +199,36 @@ Status BTree::Insert(Key key, Value value) {
   }
   std::vector<PathStep> path;
   PageId leaf_id;
+  Status s = DescendToLeafPage(key, &path, &leaf_id);
+  if (!s.ok()) return s;
   BTreeLeaf leaf;
-  Status s = DescendToLeaf(key, &path, &leaf_id, &leaf);
+  if (pinned_pages_) {
+    // Edit the leaf in place when no split is needed: search under the read
+    // pin, then pin the same page for write -- a hit on the same bytes,
+    // since the read pin keeps it resident -- and shift the entry tail. The
+    // pins and charges are LoadLeaf + StoreLeaf's, and so are the page's
+    // bytes, without decoding or re-encoding the leaf.
+    PageReadGuard read;
+    s = device_->PinForRead(leaf_id, &read);
+    if (!s.ok()) return s;
+    size_t n;
+    size_t slot;
+    bool found;
+    s = BTreeLeaf::LowerBoundInBlock(read.bytes(), key, &n, &slot, &found);
+    if (!s.ok()) return s;
+    if (found || n < leaf_capacity_) {
+      if (!found) ++count_;
+      PageWriteGuard write;
+      s = device_->PinForWrite(leaf_id, &write);
+      if (!s.ok()) return s;
+      BTreeLeaf::PutInBlock(write.bytes(), n, slot, Entry{key, value}, found);
+      write.MarkDirty();
+      return write.Release();
+    }
+    s = BTreeLeaf::DecodeFrom(read.bytes(), &leaf);  // Full leaf: split.
+  } else {
+    s = LoadLeaf(leaf_id, &leaf);
+  }
   if (!s.ok()) return s;
 
   auto it = std::lower_bound(
@@ -274,8 +309,32 @@ Status BTree::Delete(Key key) {
   if (root_ == kInvalidPageId) return Status::OK();
   std::vector<PathStep> path;
   PageId leaf_id;
+  Status s = DescendToLeafPage(key, &path, &leaf_id);
+  if (!s.ok()) return s;
   BTreeLeaf leaf;
-  Status s = DescendToLeaf(key, &path, &leaf_id, &leaf);
+  if (pinned_pages_) {
+    // In place, as in Insert, unless the leaf empties.
+    PageReadGuard read;
+    s = device_->PinForRead(leaf_id, &read);
+    if (!s.ok()) return s;
+    size_t n;
+    size_t slot;
+    bool found;
+    s = BTreeLeaf::LowerBoundInBlock(read.bytes(), key, &n, &slot, &found);
+    if (!s.ok() || !found) return s;
+    if (n > 1) {
+      --count_;
+      PageWriteGuard write;
+      s = device_->PinForWrite(leaf_id, &write);
+      if (!s.ok()) return s;
+      BTreeLeaf::EraseInBlock(write.bytes(), n, slot);
+      write.MarkDirty();
+      return write.Release();
+    }
+    s = BTreeLeaf::DecodeFrom(read.bytes(), &leaf);  // Emptied leaf.
+  } else {
+    s = LoadLeaf(leaf_id, &leaf);
+  }
   if (!s.ok()) return s;
   auto it = std::lower_bound(
       leaf.entries.begin(), leaf.entries.end(), key,

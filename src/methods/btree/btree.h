@@ -62,7 +62,11 @@ class BTree : public AccessMethod {
   Status StoreInner(PageId page, const BTreeInner& inner);
 
   /// Descends from the root to the leaf that should hold `key`, recording
-  /// the inner-node path. The tree must be non-empty.
+  /// the inner-node path (when `path` is non-null) and setting `*leaf_id`.
+  /// The leaf itself is not read. The tree must be non-empty.
+  Status DescendToLeafPage(Key key, std::vector<PathStep>* path,
+                           PageId* leaf_id);
+  /// DescendToLeafPage, then loads the leaf into `*leaf`.
   Status DescendToLeaf(Key key, std::vector<PathStep>* path, PageId* leaf_id,
                        BTreeLeaf* leaf);
 

@@ -45,6 +45,18 @@ Status BTreeLeaf::EncodeInto(std::span<uint8_t> block) const {
 
 Status BTreeLeaf::FindInBlock(std::span<const uint8_t> block, Key key,
                               Value* value, bool* found) {
+  size_t n;
+  size_t slot;
+  Status s = LowerBoundInBlock(block, key, &n, &slot, found);
+  if (!s.ok()) return s;
+  if (*found) *value = DecodeU64(block.data() + kLeafHeader +
+                                 slot * kEntrySize + 8);
+  return Status::OK();
+}
+
+Status BTreeLeaf::LowerBoundInBlock(std::span<const uint8_t> block, Key key,
+                                    size_t* count, size_t* slot,
+                                    bool* found) {
   if (block.size() < kLeafHeader || block[0] != kLeafType) {
     return Status::Corruption("not a leaf block");
   }
@@ -63,13 +75,30 @@ Status BTreeLeaf::FindInBlock(std::span<const uint8_t> block, Key key,
       hi = mid;
     }
   }
-  if (lo < n && DecodeU64(base + lo * kEntrySize) == key) {
-    *value = DecodeU64(base + lo * kEntrySize + 8);
-    *found = true;
-  } else {
-    *found = false;
-  }
+  *count = n;
+  *slot = lo;
+  *found = lo < n && DecodeU64(base + lo * kEntrySize) == key;
   return Status::OK();
+}
+
+void BTreeLeaf::PutInBlock(std::span<uint8_t> block, size_t count,
+                           size_t slot, Entry e, bool replace) {
+  uint8_t* at = block.data() + kLeafHeader + slot * kEntrySize;
+  if (!replace) {
+    std::memmove(at + kEntrySize, at, (count - slot) * kEntrySize);
+    EncodeU32(static_cast<uint32_t>(count + 1), block.data() + 1);
+  }
+  EncodeU64(e.key, at);
+  EncodeU64(e.value, at + 8);
+}
+
+void BTreeLeaf::EraseInBlock(std::span<uint8_t> block, size_t count,
+                             size_t slot) {
+  uint8_t* base = block.data() + kLeafHeader;
+  std::memmove(base + slot * kEntrySize, base + (slot + 1) * kEntrySize,
+               (count - slot - 1) * kEntrySize);
+  std::memset(base + (count - 1) * kEntrySize, 0, kEntrySize);
+  EncodeU32(static_cast<uint32_t>(count - 1), block.data() + 1);
 }
 
 Status BTreeLeaf::MultiFindInBlock(

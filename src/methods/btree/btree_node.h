@@ -50,6 +50,25 @@ struct BTreeLeaf {
   static Status FindInBlock(std::span<const uint8_t> block, Key key,
                             Value* value, bool* found);
 
+  /// Lower-bound search straight off an encoded leaf block: validates the
+  /// header as DecodeFrom does, then sets `*count` to the entry count,
+  /// `*slot` to the first slot whose key is >= `key`, and `*found` when
+  /// that slot holds `key`.
+  static Status LowerBoundInBlock(std::span<const uint8_t> block, Key key,
+                                  size_t* count, size_t* slot, bool* found);
+
+  /// In-place edits of an encoded leaf block holding `count` entries. Each
+  /// leaves exactly the bytes EncodeInto writes for the edited entry list,
+  /// given a block whose bytes past the entries are zero (as EncodeInto
+  /// leaves them). PutInBlock writes `e` at `slot`: over the entry there
+  /// when `replace`, else after shifting slots [slot, count) right by one
+  /// (the caller checks count < CapacityFor). EraseInBlock removes the
+  /// entry at `slot`, shifting the rest left and zeroing the vacated slot.
+  static void PutInBlock(std::span<uint8_t> block, size_t count, size_t slot,
+                         Entry e, bool replace);
+  static void EraseInBlock(std::span<uint8_t> block, size_t count,
+                           size_t slot);
+
   /// Batched zero-copy lookups for an ascending (key, output index) batch:
   /// validates the block once, then resolves each key with a galloping
   /// lower-bound search that resumes from the previous key's slot, writing

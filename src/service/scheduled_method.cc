@@ -1,5 +1,6 @@
 #include "service/scheduled_method.h"
 
+#include <mutex>
 #include <utility>
 
 #include "core/trace.h"
@@ -13,19 +14,19 @@ ScheduledMethod::ScheduledMethod(std::unique_ptr<AccessMethod> inner,
       bucket_(opts_.rate_ops_per_sec, opts_.rate_burst_ops) {
   metrics_.Init("scheduler");
   metrics_.Gauge("submitted", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<SpinLock> lock(mu_);
     return stats_.submitted;
   });
   metrics_.Gauge("shed", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<SpinLock> lock(mu_);
     return stats_.shed;
   });
   metrics_.Gauge("completed", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<SpinLock> lock(mu_);
     return stats_.completed;
   });
   metrics_.Histogram("total_us", [this] {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<SpinLock> lock(mu_);
     return stats_.total_us;
   });
 }
@@ -41,12 +42,12 @@ size_t ScheduledMethod::PartitionOf(Key key) const {
 }
 
 ServiceStats ScheduledMethod::service_stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinLock> lock(mu_);
   return stats_;
 }
 
 bool ScheduledMethod::Admit(bool is_scan, uint64_t* cost_us) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinLock> lock(mu_);
   ++stats_.submitted;
   uint64_t arrival = now_us_;
   if (opts_.admission && !bucket_.TryAcquire(arrival)) {
@@ -70,7 +71,7 @@ bool ScheduledMethod::Admit(bool is_scan, uint64_t* cost_us) {
 }
 
 void ScheduledMethod::Account(uint64_t cost_us, bool failed) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinLock> lock(mu_);
   ++stats_.completed;
   if (failed) ++stats_.failed;
   stats_.queue_delay_us.Record(0);
@@ -123,7 +124,7 @@ Result<Value> ScheduledMethod::Get(Key key) {
 }
 
 bool ScheduledMethod::AdmitBatch(size_t n, uint64_t* cost_us) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinLock> lock(mu_);
   stats_.submitted += n;
   uint64_t arrival = now_us_;
   if (opts_.admission) {
@@ -155,7 +156,7 @@ bool ScheduledMethod::AdmitBatch(size_t n, uint64_t* cost_us) {
 }
 
 void ScheduledMethod::AccountBatch(size_t n, uint64_t cost_us, bool failed) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<SpinLock> lock(mu_);
   stats_.completed += n;
   if (failed) stats_.failed += n;
   stats_.queue_delay_us.Record(0, n);

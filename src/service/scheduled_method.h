@@ -2,12 +2,12 @@
 #define RUMLAB_SERVICE_SCHEDULED_METHOD_H_
 
 #include <memory>
-#include <mutex>
 #include <string_view>
 
 #include "core/access_method.h"
 #include "core/metrics.h"
 #include "core/options.h"
+#include "core/spin_lock.h"
 #include "service/admission.h"
 #include "service/request.h"
 
@@ -33,10 +33,13 @@ namespace rum {
 /// contents are byte-identical to the undecorated method -- saturation_test
 /// pins this against a service-disabled run.
 ///
-/// Threading: bookkeeping is mutex-guarded; the inner call happens OUTSIDE
-/// the lock, so partition-affine concurrent workers keep their parallelism
-/// and the inner method's determinism contract is untouched. The service
-/// ledger itself is exact under concurrency (mutex), but its latency
+/// Threading: bookkeeping is guarded by one SpinLock (spin, then park);
+/// the inner call happens OUTSIDE the lock, so partition-affine concurrent
+/// workers keep their parallelism and the inner method's determinism
+/// contract is untouched. Every request enters the lock twice (admission,
+/// then accounting) for a few counter and histogram updates, a hold far
+/// shorter than the futex sleep a contended std::mutex would pay. The
+/// service ledger itself is exact under concurrency, but its latency
 /// histograms interleave arbitrarily; the determinism contract for
 /// scheduler statistics applies to single-threaded closed-loop runs and to
 /// RunOpenLoop.
@@ -98,7 +101,7 @@ class ScheduledMethod : public AccessMethod, public KeyPartitioned {
   std::unique_ptr<AccessMethod> inner_;
   Options::Service opts_;
 
-  mutable std::mutex mu_;
+  mutable SpinLock mu_;  ///< Guards the three fields below.
   TokenBucket bucket_;
   uint64_t now_us_ = 0;
   ServiceStats stats_;

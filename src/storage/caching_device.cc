@@ -69,7 +69,7 @@ CachingDevice::Partition& CachingDevice::PartitionOf(PageId page) const {
 uint64_t CachingDevice::Sum(uint64_t Partition::*field) const {
   uint64_t total = 0;
   for (size_t i = 0; i < num_partitions_; ++i) {
-    std::lock_guard<std::mutex> lock(partitions_[i].mu);
+    std::lock_guard<SpinLock> lock(partitions_[i].mu);
     total += partitions_[i].*field;
   }
   return total;
@@ -97,7 +97,7 @@ Status CachingDevice::SetCapacity(size_t capacity_pages) {
   Status first_failure = Status::OK();
   for (size_t i = 0; i < num_partitions_; ++i) {
     Partition& p = partitions_[i];
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::lock_guard<SpinLock> lock(p.mu);
     p.capacity = ShareOf(i, num_partitions_, capacity_pages);
     Status s = EvictDownTo(&p, p.capacity);
     if (first_failure.ok()) first_failure = s;
@@ -129,7 +129,7 @@ Status CachingDevice::Allocate(DataClass cls, PageId* out) {
 size_t CachingDevice::cached_pages() const {
   size_t total = 0;
   for (size_t i = 0; i < num_partitions_; ++i) {
-    std::lock_guard<std::mutex> lock(partitions_[i].mu);
+    std::lock_guard<SpinLock> lock(partitions_[i].mu);
     total += partitions_[i].entries.size();
   }
   return total;
@@ -157,7 +157,7 @@ size_t CachingDevice::pinned_pages() const {
 
 Status CachingDevice::Free(PageId page) {
   Partition& p = PartitionOf(page);
-  std::lock_guard<std::mutex> lock(p.mu);
+  std::lock_guard<SpinLock> lock(p.mu);
   auto it = p.entries.find(page);
   if (it != p.entries.end()) {
     if (it->second.pins != 0) {
@@ -282,7 +282,7 @@ Status CachingDevice::Read(PageId page, std::vector<uint8_t>* out) {
   NoteRecovery();
   Partition& p = PartitionOf(page);
   Status result = [&] {
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::lock_guard<SpinLock> lock(p.mu);
     auto it = p.entries.find(page);
     if (it != p.entries.end()) {
       ++p.hits;
@@ -311,7 +311,7 @@ Status CachingDevice::Write(PageId page, const std::vector<uint8_t>& data) {
     if (data.size() != block_size()) {
       return Status::InvalidArgument("write size must equal block size");
     }
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::lock_guard<SpinLock> lock(p.mu);
     counters_.OnWrite(DataClass::kAux, block_size());
     counters_.OnBlockWrite();
     auto it = p.entries.find(page);
@@ -334,7 +334,7 @@ Status CachingDevice::PinForRead(PageId page, PageReadGuard* out) {
   NoteRecovery();
   Partition& p = PartitionOf(page);
   Status result = [&] {
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::lock_guard<SpinLock> lock(p.mu);
     auto it = p.entries.find(page);
     if (it != p.entries.end()) {
       ++p.hits;
@@ -382,7 +382,7 @@ Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
   NoteRecovery();
   Partition& p = PartitionOf(page);
   Status result = [&] {
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::lock_guard<SpinLock> lock(p.mu);
     auto it = p.entries.find(page);
     if (it != p.entries.end()) {
       Touch(&p, &it->second);
@@ -418,7 +418,7 @@ Status CachingDevice::PinForWrite(PageId page, PageWriteGuard* out) {
 
 void CachingDevice::UnpinRead(PageId page) {
   Partition& p = PartitionOf(page);
-  std::lock_guard<std::mutex> lock(p.mu);
+  std::lock_guard<SpinLock> lock(p.mu);
   auto it = p.entries.find(page);
   if (it == p.entries.end() || it->second.pins == 0) {
     return;  // Post-crash abandoned guard.
@@ -441,7 +441,7 @@ void CachingDevice::UnpinRead(PageId page) {
 
 Status CachingDevice::UnpinWrite(PageId page, bool dirty) {
   Partition& p = PartitionOf(page);
-  std::lock_guard<std::mutex> lock(p.mu);
+  std::lock_guard<SpinLock> lock(p.mu);
   auto it = p.entries.find(page);
   if (it == p.entries.end() || it->second.pins == 0) {
     return Status::OK();  // Post-crash abandoned guard.
@@ -478,7 +478,7 @@ Status CachingDevice::FlushAll() {
   NoteRecovery();
   for (size_t i = 0; i < num_partitions_; ++i) {
     Partition& p = partitions_[i];
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::lock_guard<SpinLock> lock(p.mu);
     for (auto& [page, entry] : p.entries) {
       if (!entry.dirty) continue;
       Status s = base_->Write(page, entry.bytes);
@@ -503,7 +503,7 @@ void CachingDevice::Crash() {
   size_t dropped = 0;
   for (size_t i = 0; i < num_partitions_; ++i) {
     Partition& p = partitions_[i];
-    std::lock_guard<std::mutex> lock(p.mu);
+    std::lock_guard<SpinLock> lock(p.mu);
     dropped += p.entries.size();
     p.entries.clear();
     p.lru.clear();

@@ -12,6 +12,7 @@
 #include "core/counters.h"
 #include "core/memory_budget.h"
 #include "core/metrics.h"
+#include "core/spin_lock.h"
 #include "core/status.h"
 #include "core/types.h"
 #include "storage/device.h"
@@ -36,12 +37,19 @@ namespace rum {
 /// SetCapacity re-splits them) and evicts in exact LRU order within that
 /// share. A cache under 64 pages is one partition: one global exact LRU.
 ///
-/// Thread safety: each partition has its own mutex guarding its map, LRU
+/// Thread safety: each partition has its own lock guarding its map, LRU
 /// list, counts and the base-device I/O of its pages (miss reads and dirty
 /// write-backs), so a page's base traffic is ordered while pages of other
-/// partitions move in parallel. There is no global lock: the base device
-/// must accept concurrent calls on distinct pages (BlockDevice does, as do
-/// the fault and retry decorators). Allocate goes straight to the base.
+/// partitions move in parallel. The partition lock is a SpinLock (spin,
+/// then park): every pin, unpin, Read and Write enters it, and a hold is a
+/// map probe and a list splice, plus on a miss one base read and at most
+/// one dirty write-back (4 KiB memory copies over a BlockDevice) -- shorter
+/// than the futex sleep and wake-up a std::mutex pays on every contended
+/// hand-off.
+/// SetCapacity's resize_mu_, a rare whole-cache section, is a std::mutex.
+/// There is no global lock: the base device must accept concurrent calls
+/// on distinct pages (BlockDevice does, as do the fault and retry
+/// decorators). Allocate goes straight to the base.
 /// Pins hold their partition's lock only for the lookup/insert and the
 /// unpin bookkeeping, not for the caller's critical section, so concurrent
 /// callers must touch disjoint pages while pinned (the ShardedMethod
@@ -153,10 +161,10 @@ class CachingDevice : public Device, public MemoryPool {
     std::list<PageId>::iterator lru_pos;
   };
 
-  /// One LRU partition. Its mutex guards every field and the base-device
+  /// One LRU partition. Its lock guards every field and the base-device
   /// I/O of the pages that hash here.
   struct alignas(64) Partition {
-    mutable std::mutex mu;
+    mutable SpinLock mu;
     std::unordered_map<PageId, CacheEntry> entries;
     std::list<PageId> lru;  // Front = MRU, back = LRU.
     /// The last evicted entry's page buffer, reused by the next miss or

@@ -1,9 +1,14 @@
 // Structural tests for the B+-Tree beyond the generic contract: node
 // codecs, height growth, tuning knobs, leaf-chain integrity.
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "methods/btree/btree.h"
 #include "methods/btree/btree_node.h"
+#include "storage/block_device.h"
 #include "tests/testing_util.h"
 #include "workload/distribution.h"
 
@@ -208,6 +213,117 @@ TEST(BTreeTest, InnerAndLeafSpaceSplitIsTagged) {
   EXPECT_GT(snap.space_base, 0u);  // Leaves.
   EXPECT_GT(snap.space_aux, 0u);   // Inner nodes.
   EXPECT_LT(snap.space_aux, snap.space_base);  // Fanout keeps inners small.
+}
+
+// The pinned path edits a leaf in place (entry shift under a read pin plus
+// a write pin of the same page) unless it splits or empties; the copy path
+// decodes and re-encodes every touched leaf. The same seeded stream on
+// both, each over its own BlockDevice, must leave every live page
+// byte-identical and every RUM counter equal -- after a leaf fills from
+// capacity-1 in place, splits at capacity, and empties from one entry.
+TEST(BTreeTest, InPlaceLeafEditsLeaveCopyPathPageImages) {
+  struct Side {
+    RumCounters device_counters;
+    BlockDevice device;
+    BTree tree;
+    static Options With(bool pinned) {
+      Options options = SmallOptions();
+      options.storage.pinned_pages = pinned;
+      return options;
+    }
+    explicit Side(bool pinned)
+        : device(512, &device_counters), tree(With(pinned), &device) {}
+  };
+  Side copy(false);
+  Side pinned(true);
+  auto expect_same = [&] {
+    ASSERT_EQ(copy.device.live_pages(), pinned.device.live_pages());
+    size_t seen = 0;
+    for (PageId id = 0; seen < copy.device.live_pages(); ++id) {
+      ASSERT_LT(id, PageId{1} << 20) << "live pages not found";
+      const std::vector<uint8_t>* a = copy.device.page_unaccounted(id);
+      const std::vector<uint8_t>* b = pinned.device.page_unaccounted(id);
+      ASSERT_EQ(a == nullptr, b == nullptr) << "page " << id;
+      if (a == nullptr) continue;
+      ++seen;
+      ASSERT_TRUE(*a == *b) << "page " << id << " bytes differ";
+    }
+    ASSERT_EQ(copy.device_counters.snapshot().ToString(),
+              pinned.device_counters.snapshot().ToString());
+    CounterSnapshot c = copy.tree.stats();
+    CounterSnapshot p = pinned.tree.stats();
+    ASSERT_EQ(c.ToString(), p.ToString());
+    ASSERT_EQ(c.inserts, p.inserts);
+    ASSERT_EQ(c.updates, p.updates);
+    ASSERT_EQ(c.deletes, p.deletes);
+    ASSERT_EQ(copy.tree.size(), pinned.tree.size());
+    ASSERT_EQ(copy.tree.height(), pinned.tree.height());
+  };
+  auto both = [&](auto op) {
+    ASSERT_TRUE(op(copy.tree).ok());
+    ASSERT_TRUE(op(pinned.tree).ok());
+  };
+  auto insert = [&](Key k, Value v) {
+    both([&](BTree& t) { return t.Insert(k, v); });
+  };
+
+  // One leaf at capacity-1, filled in place, updated while full, split.
+  const Key cap = BTreeLeaf::CapacityFor(512);
+  for (Key k = 0; k + 1 < cap; ++k) insert(2 * k, k);
+  ASSERT_EQ(pinned.tree.size(), cap - 1);
+  insert(1, 100);  // capacity-1 -> capacity, in place.
+  both([](BTree& t) { return t.Update(1, 101); });  // Full leaf, in place.
+  ASSERT_EQ(pinned.tree.height(), 1u);
+  ASSERT_EQ(pinned.device.live_pages(), 1u);
+  ASSERT_NO_FATAL_FAILURE(expect_same());
+  insert(3, 102);  // At capacity: split.
+  ASSERT_EQ(pinned.tree.height(), 2u);
+  ASSERT_EQ(pinned.device.live_pages(), 3u);
+  ASSERT_NO_FATAL_FAILURE(expect_same());
+
+  // Seeded mix over a range wide enough to grow a three-level tree.
+  std::set<Key> live;
+  for (Key k = 0; k + 1 < cap; ++k) live.insert(2 * k);
+  live.insert(1);
+  live.insert(3);
+  Rng rng(0x1EAF);
+  constexpr Key kRange = 2048;
+  for (int i = 0; i < 6000; ++i) {
+    Key key = rng.NextBelow(kRange);
+    uint64_t dice = rng.NextBelow(100);
+    if (dice < 45) {
+      insert(key, rng.Next());
+      live.insert(key);
+    } else if (dice < 65) {
+      Value v = rng.Next();
+      both([&](BTree& t) { return t.Update(key, v); });
+      live.insert(key);
+    } else {
+      both([&](BTree& t) { return t.Delete(key); });
+      live.erase(key);
+    }
+    if (i % 50 == 0) {
+      ASSERT_NO_FATAL_FAILURE(expect_same()) << "op " << i;
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_same());
+  EXPECT_GE(pinned.tree.height(), 3u);
+  ASSERT_EQ(pinned.tree.size(), live.size());
+
+  // Drain in a shuffled order: every leaf ends by emptying from one entry.
+  std::vector<Key> order(live.begin(), live.end());
+  for (size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBelow(i)]);
+  }
+  for (size_t i = 0; i < order.size(); ++i) {
+    both([&](BTree& t) { return t.Delete(order[i]); });
+    if (i % 50 == 0) {
+      ASSERT_NO_FATAL_FAILURE(expect_same()) << "drain " << i;
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_same());
+  EXPECT_EQ(pinned.tree.size(), 0u);
+  EXPECT_EQ(pinned.device.live_pages(), 0u);
 }
 
 }  // namespace

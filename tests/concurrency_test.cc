@@ -5,6 +5,7 @@
 // This tier is the one that must pass under ThreadSanitizer (see ci.sh).
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "methods/btree/btree.h"
 #include "methods/factory.h"
 #include "methods/sharded/sharded_method.h"
+#include "service/scheduled_method.h"
 #include "storage/block_device.h"
 #include "storage/caching_device.h"
 #include "storage/faulty_device.h"
@@ -189,7 +191,9 @@ TEST_P(ConcurrencyTest, ReadersSeeConsistentStateUnderWrites) {
             ASSERT_GE(out[j].key, lo);
             ASSERT_LE(out[j].key, hi);
             ASSERT_EQ(out[j].value, ValueFor(out[j].key));
-            if (j > 0) ASSERT_LT(out[j - 1].key, out[j].key);
+            if (j > 0) {
+              ASSERT_LT(out[j - 1].key, out[j].key);
+            }
           }
           // Unmutated even keys must all be present in the observed range.
           size_t evens = 0;
@@ -361,6 +365,120 @@ TEST(SharedCacheConcurrencyTest, ShardedBTreePinsOverOneCache) {
       Key key = spot.NextBelow(kThreads * range_per_thread);
       ASSERT_TRUE(GetMatchesReference(&method, oracle.quiesced(), key));
     }
+  }
+}
+
+// The full shared-cache stack under contention: 4 partition-affine threads
+// drive ScheduledMethod over a 4-shard sharded-btree whose shards share one
+// 64-page cache (2 LRU partitions), so every request contends on the
+// scheduler ledger's lock and on the partition locks, and the B-trees' in-place
+// leaf edits run beside evictions of other shards' pages. The service
+// ledger must balance with every issued request completed, and every read
+// (Get and MultiGet) must match the oracle.
+TEST(SharedCacheConcurrencyTest, ScheduledShardedBTreeOverOneContendedCache) {
+  struct Wiring {
+    RumCounters counters;
+    BlockDevice bottom;
+    CachingDevice cache;
+    Wiring() : bottom(512, &counters), cache(&bottom, 64) {}
+  };
+  auto wiring = std::make_unique<Wiring>();
+  ASSERT_EQ(wiring->cache.partitions(), 2u);
+  Options options = SmallOptions();
+  options.service.enabled = true;
+  std::vector<std::unique_ptr<AccessMethod>> shards;
+  for (int t = 0; t < kThreads; ++t) {
+    shards.push_back(std::make_unique<BTree>(options, &wiring->cache));
+  }
+  ScheduledMethod method(
+      std::make_unique<ShardedMethod>("sharded-btree", std::move(shards)),
+      options);
+  ASSERT_EQ(method.partitions(), static_cast<size_t>(kThreads));
+  ConcurrentReferenceModel oracle;
+  constexpr Key kRange = 1 << 14;
+  constexpr int kOpsPerThread = 3000;
+  std::vector<uint64_t> issued(kThreads, 0);
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0x5C4ED0 + t);
+      // Keys of this thread's shard only: shards never contend, the
+      // scheduler ledger and the shared cache do.
+      auto own_key = [&] {
+        Key key;
+        do {
+          key = rng.NextBelow(kRange);
+        } while (method.PartitionOf(key) != static_cast<size_t>(t));
+        return key;
+      };
+      auto expect_read = [&](Key key, const std::optional<Value>& got) {
+        Value expected;
+        if (oracle.Get(key, &expected)) {
+          ASSERT_TRUE(got.has_value()) << "thread " << t << " key " << key;
+          ASSERT_EQ(*got, expected) << "thread " << t << " key " << key;
+        } else {
+          ASSERT_FALSE(got.has_value()) << "thread " << t << " key " << key;
+        }
+      };
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        uint64_t dice = rng.NextBelow(100);
+        if (dice < 40) {
+          Key key = own_key();
+          Value v = rng.Next();
+          ASSERT_TRUE(method.Insert(key, v).ok());
+          oracle.Insert(key, v);
+          ++issued[t];
+        } else if (dice < 55) {
+          Key key = own_key();
+          Value v = rng.Next();
+          ASSERT_TRUE(method.Update(key, v).ok());
+          oracle.Insert(key, v);
+          ++issued[t];
+        } else if (dice < 70) {
+          Key key = own_key();
+          ASSERT_TRUE(method.Delete(key).ok());
+          oracle.Delete(key);
+          ++issued[t];
+        } else if (dice < 90) {
+          Key key = own_key();
+          Result<Value> got = method.Get(key);
+          ASSERT_TRUE(got.ok() || got.status().IsNotFound());
+          ASSERT_NO_FATAL_FAILURE(expect_read(
+              key, got.ok() ? std::optional<Value>(got.value())
+                            : std::nullopt));
+          ++issued[t];
+        } else {
+          std::vector<Key> keys(1 + rng.NextBelow(8));
+          for (Key& key : keys) key = own_key();
+          std::vector<std::optional<Value>> got;
+          ASSERT_TRUE(method.MultiGet(keys, &got).ok());
+          ASSERT_EQ(got.size(), keys.size());
+          for (size_t j = 0; j < keys.size(); ++j) {
+            ASSERT_NO_FATAL_FAILURE(expect_read(keys[j], got[j]));
+          }
+          issued[t] += keys.size();
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  ServiceStats stats = method.service_stats();
+  uint64_t total_issued = 0;
+  for (uint64_t n : issued) total_issued += n;
+  EXPECT_TRUE(stats.LedgerHolds());
+  EXPECT_EQ(stats.submitted, total_issued);
+  EXPECT_EQ(stats.completed, total_issued);
+  EXPECT_EQ(stats.shed, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.total_us.count(), total_issued);
+  EXPECT_EQ(wiring->cache.pinned_pages(), 0u);
+  EXPECT_LE(wiring->cache.cached_pages(), 64u);
+  EXPECT_GT(wiring->cache.evictions(), 0u);
+  ASSERT_EQ(method.size(), oracle.quiesced().size());
+  for (Key key = 0; key < kRange; ++key) {
+    ASSERT_TRUE(GetMatchesReference(&method, oracle.quiesced(), key));
   }
 }
 

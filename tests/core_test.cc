@@ -1,5 +1,10 @@
 // Unit tests for the core layer: Status/Result, RUM counters, RumPoint,
-// and the KeySet differential tier.
+// the KeySet differential tier and the SpinLock tier.
+#include <atomic>
+#include <chrono>
+#include <cstdlib>
+#include <mutex>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -8,6 +13,7 @@
 #include "core/counters.h"
 #include "core/key_set.h"
 #include "core/rum_point.h"
+#include "core/spin_lock.h"
 #include "core/status.h"
 #include "workload/distribution.h"
 
@@ -359,6 +365,89 @@ TEST(KeySetTest, ClearKeepsTheArrayAndForgetsEveryKey) {
   for (Key k : keys) ASSERT_TRUE(set.insert(k));
   EXPECT_EQ(set.size(), keys.size());
   EXPECT_EQ(set.capacity(), capacity);
+}
+
+// SpinLock tier. This case is declared first so that, in a full run of
+// this file, its first lock() and unlock() happen before the process has
+// started any thread and take the plain single-threaded path. A lock taken there must still exclude a
+// thread started while it is held, and be released on the atomic path.
+TEST(SpinLockTest, TryLockFailsWhileHeld) {
+  SpinLock lock;
+  lock.lock();
+  EXPECT_FALSE(lock.try_lock());  // Not recursive.
+  lock.unlock();
+  ASSERT_TRUE(lock.try_lock());
+  lock.unlock();
+  lock.lock();
+  bool other_got_it = true;
+  std::thread other([&] { other_got_it = lock.try_lock(); });
+  other.join();
+  EXPECT_FALSE(other_got_it);
+  lock.unlock();
+  std::thread after([&] { other_got_it = lock.try_lock(); });
+  after.join();
+  EXPECT_TRUE(other_got_it);
+  lock.unlock();
+  EXPECT_TRUE(lock.try_lock());
+  lock.unlock();
+}
+
+// The counter is a plain (non-atomic) integer, so a lock that let two
+// holders in at once would lose increments -- and TSan, which runs this
+// file, would flag the race.
+TEST(SpinLockTest, FourThreadsCountExactlyUnderTheLock) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kIncrements = 1'000'000;
+  SpinLock lock;
+  uint64_t counter = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint64_t i = 0; i < kIncrements; ++i) {
+        std::lock_guard<SpinLock> guard(lock);
+        ++counter;
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(counter, kThreads * kIncrements);
+}
+
+// A waiter held past its spin budget must park (the lock word shows a
+// parked waiter) and must be woken by unlock, not left asleep.
+TEST(SpinLockTest, WaiterPastTheSpinBudgetParksThenWakesOnUnlock) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kPatience = std::chrono::seconds(20);
+  SpinLock lock;
+  std::atomic<bool> acquired{false};
+  lock.lock();
+  std::thread waiter([&] {
+    std::lock_guard<SpinLock> guard(lock);
+    acquired.store(true);
+  });
+  const auto deadline = Clock::now() + kPatience;
+  while (!lock.has_parked_waiter() && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const bool parked = lock.has_parked_waiter();
+  EXPECT_FALSE(acquired.load());
+  lock.unlock();
+  const auto wake_deadline = Clock::now() + kPatience;
+  while (!acquired.load() && Clock::now() < wake_deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  if (!acquired.load()) {
+    // A waiter that never woke cannot be joined; fail loudly instead of
+    // hanging the suite.
+    ADD_FAILURE() << "parked waiter not woken by unlock";
+    std::abort();
+  }
+  waiter.join();
+  EXPECT_TRUE(parked) << "waiter never parked within " << kPatience.count()
+                      << " s";
+  EXPECT_FALSE(lock.has_parked_waiter());
+  EXPECT_TRUE(lock.try_lock());
+  lock.unlock();
 }
 
 }  // namespace
